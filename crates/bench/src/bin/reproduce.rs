@@ -14,13 +14,16 @@
 //! cargo run -p tmg-bench --release --bin reproduce -- chaos --quick   # CI chaos smoke
 //! cargo run -p tmg-bench --release --bin reproduce -- profile         # Chrome trace of one cold request
 //! cargo run -p tmg-bench --release --bin reproduce -- profile --quick # validated profiling smoke
-//! cargo run -p tmg-bench --release --bin reproduce -- bench           # writes BENCH_pr9.json
+//! cargo run -p tmg-bench --release --bin reproduce -- bench           # writes BENCH_pr10.json
+//! cargo run -p tmg-bench --release --bin reproduce -- bench --label x # writes BENCH_x.json
 //! cargo run -p tmg-bench --release --bin reproduce -- --quick         # CI smoke run
 //! ```
 //!
 //! `bench` records the before/after perf baseline and writes
-//! `BENCH_pr9.json` (path overridable with the `TMG_BENCH_OUT` environment
-//! variable).  `sweep` prints the cached incremental Figure-2/3 tradeoff
+//! `BENCH_<label>.json`, where `--label <name>` sets the label (default
+//! `pr10`, recorded as the JSON's `"pr"` member) and the `TMG_BENCH_OUT`
+//! environment variable overrides the path.  `sweep` prints the cached
+//! incremental Figure-2/3 tradeoff
 //! sweep as machine-readable JSON (written by hand; the vendored serde is
 //! derive-markers only); `TMG_TARGET_BLOCKS` sizes the generated function
 //! and `--stats` appends the artifact-store counter snapshot.
@@ -77,10 +80,14 @@ fn main() {
         return;
     }
     let with_stats = args.iter().any(|a| a == "--stats");
+    let label = arg_value(&args, "--label");
+    // Positional arguments name experiments; the value after `--label`
+    // does not.
     let experiments: Vec<String> = args
         .iter()
-        .filter(|a| !a.starts_with("--"))
-        .cloned()
+        .enumerate()
+        .filter(|(i, a)| !a.starts_with("--") && (*i == 0 || args[i - 1] != "--label"))
+        .map(|(_, a)| a.clone())
         .collect();
     let wanted: Vec<String> = if experiments.is_empty() || experiments.iter().any(|a| a == "all") {
         vec![
@@ -103,7 +110,7 @@ fn main() {
             "case-study" | "case_study" => print_case_study(),
             "testgen" => print_testgen(),
             "sweep" => print_sweep_json(with_stats),
-            "bench" => run_bench(),
+            "bench" => run_bench(label.as_deref().unwrap_or(tmg_bench::perf::DEFAULT_LABEL)),
             other => eprintln!("unknown experiment `{other}` (expected table1, figure2, figure3, table2, case-study, testgen, sweep, serve, loadtest, chaos, profile, bench, all)"),
         }
     }
@@ -385,7 +392,9 @@ fn run_serve_smoke() {
         Some("tmg-obs-stats/v1"),
         "stats must carry the unified snapshot schema: {stats:?}"
     );
-    for group in ["memory", "checker", "module", "segments", "latency", "disk"] {
+    for group in [
+        "memory", "checker", "module", "testgen", "segments", "latency", "disk",
+    ] {
         assert!(
             stats.get(group).is_some(),
             "stats is missing its `{group}` group: {stats:?}"
@@ -682,6 +691,19 @@ fn run_profile(args: &[String]) {
         }
     }
     assert!(stage_spans > 0, "a cold request must record stage spans");
+    // Test generation splits into its two phases, each a child of
+    // `stage:testgen`.
+    for phase in ["testgen:heuristic", "testgen:checker"] {
+        let span = spans
+            .iter()
+            .find(|s| s.name == phase)
+            .unwrap_or_else(|| panic!("a cold request must record a {phase} span"));
+        assert_eq!(
+            by_id.get(&span.parent).map(|p| p.name),
+            Some("stage:testgen"),
+            "{phase} must nest directly under stage:testgen"
+        );
+    }
 
     // Attribution: the request's wall time (earliest child start — the
     // admission span begins at accept, before the root — to root end)
@@ -883,8 +905,8 @@ fn print_sweep_json(with_stats: bool) {
 
 /// Full perf baseline: times the optimised hot paths against their
 /// references (recorded floors where the measured reference was dropped),
-/// checks result equality, writes `BENCH_pr9.json`.
-fn run_bench() {
+/// checks result equality, writes `BENCH_<label>.json`.
+fn run_bench(label: &str) {
     let report = perf_report();
     println!("== Perf baseline (before = pre-optimisation, after = optimised) ==");
     let mut rows = vec![&report.table2, &report.pipeline];
@@ -980,9 +1002,8 @@ fn run_bench() {
             burst.speedup()
         );
     }
-    let out = std::env::var("TMG_BENCH_OUT")
-        .unwrap_or_else(|_| format!("BENCH_{}.json", tmg_bench::perf::PR_LABEL));
-    std::fs::write(&out, report.to_json()).expect("write bench json");
+    let out = std::env::var("TMG_BENCH_OUT").unwrap_or_else(|_| format!("BENCH_{label}.json"));
+    std::fs::write(&out, report.to_json(label)).expect("write bench json");
     println!("wrote {out}");
 }
 

@@ -43,8 +43,9 @@ use tmg_minic::parse_function;
 use tmg_service::{codec, PersistentStore, Server};
 use tmg_tsys::{CheckOutcome, ModelChecker, PathQuery};
 
-/// Label recorded in the emitted JSON; the output file is `BENCH_<label>.json`.
-pub const PR_LABEL: &str = "pr10";
+/// Default label of the emitted JSON (`reproduce -- bench --label <name>`
+/// overrides it); the output file is `BENCH_<label>.json`.
+pub const DEFAULT_LABEL: &str = "pr10";
 
 /// `before_ms` wall times recorded in `BENCH_pr3.json` for the workloads
 /// whose measured pre-optimisation implementation (the Baseline engine) was
@@ -259,12 +260,13 @@ impl PerfReport {
             && self.client_retry_overhead.identical
     }
 
-    /// Serialises the report as pretty-printed JSON.
-    pub fn to_json(&self) -> String {
+    /// Serialises the report as pretty-printed JSON, recording `label`
+    /// as its `"pr"` member.
+    pub fn to_json(&self, label: &str) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{{");
         let _ = writeln!(out, "  \"schema\": \"tmg-bench-perf/v1\",");
-        let _ = writeln!(out, "  \"pr\": \"{PR_LABEL}\",");
+        let _ = writeln!(out, "  \"pr\": \"{}\",", tmg_service::json::escape(label));
         let _ = writeln!(
             out,
             "  \"table1\": {{ \"wall_ms\": {:.3}, \"matches_paper\": {}, \"rows\": {} }},",
@@ -1260,7 +1262,7 @@ fn measure_client_retry_overhead() -> ClientRetryOverhead {
 }
 
 /// Produces the complete perf baseline (the payload of
-/// `BENCH_<`[`PR_LABEL`]`>.json`).
+/// `BENCH_<label>.json`).
 pub fn perf_report() -> PerfReport {
     // Table 1: partitioning sweep.
     let (table1_wall, table1_rows) = best_of(BEST_OF, table1);
@@ -1586,8 +1588,9 @@ mod tests {
                 identical: true,
             },
         }
-        .to_json();
+        .to_json("label-test");
         assert!(report.contains("\"schema\": \"tmg-bench-perf/v1\""));
+        assert!(report.contains("\"pr\": \"label-test\""));
         assert!(report.contains("\"speedup\""));
         assert!(report.contains("\"service_loadtest\""));
         assert!(report.contains("\"service_recovery_scan\""));

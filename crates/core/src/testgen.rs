@@ -12,7 +12,7 @@ use crate::partition::{PartitionPlan, SegmentId, SegmentKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
-use rustc_hash::FxHashSet;
+use rustc_hash::{FxHashMap, FxHashSet};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -192,11 +192,16 @@ pub struct HybridGenerator {
     /// Select the optimised generation pipeline: all of a function's
     /// residual goals are answered through one shared state-space
     /// exploration ([`ModelChecker::check_many`]) instead of one search per
-    /// goal, and goal matching in the heuristic phase runs through the
+    /// goal, and the heuristic phase breeds dense integer genomes, runs
+    /// each distinct genome once per search and matches goals through the
     /// precomputed allocation-free matcher.  When disabled, the whole legacy
-    /// pipeline is restored (per-goal searches, allocation-per-call
-    /// matching) as the benchmark's measured reference.  Results are
-    /// bit-identical either way.
+    /// pipeline is restored (per-goal searches, map-keyed individuals
+    /// re-run every generation, allocation-per-call matching) as the
+    /// benchmark's measured reference.  The heuristic phase is
+    /// bit-identical either way.  So is the checker phase while the
+    /// per-goal searches stay within their budget; where one runs out, the
+    /// shared exploration can still settle its goal (generated automotive
+    /// code at path bound 8 shows this).
     pub batch_queries: bool,
 }
 
@@ -212,6 +217,71 @@ const PARALLEL_RESIDUAL_THRESHOLD: usize = 4;
 /// identical either way (the evaluation is pure and collected in order), so
 /// the switch can be made adaptively mid-search.
 const PARALLEL_EVAL_MIN: std::time::Duration = std::time::Duration::from_millis(2);
+
+/// Work counts of one heuristic search, added to the process-wide
+/// [`metrics`] counters when the search ends.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct HeuristicStats {
+    /// Generations scored.
+    generations: u64,
+    /// Target runs.
+    evaluations: u64,
+    /// Individuals scored from the memo instead of a target run.
+    memo_hits: u64,
+}
+
+/// Process-wide heuristic-phase counters, rendered as the `testgen` group
+/// of the `tmg-obs-stats/v1` snapshot.
+pub mod metrics {
+    use super::HeuristicStats;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    static HEURISTIC_GENERATIONS: AtomicU64 = AtomicU64::new(0);
+    static HEURISTIC_EVALUATIONS: AtomicU64 = AtomicU64::new(0);
+    static HEURISTIC_MEMO_HITS: AtomicU64 = AtomicU64::new(0);
+
+    /// A point-in-time copy of the counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct TestgenMetrics {
+        /// Generations the heuristic searches scored.
+        pub heuristic_generations: u64,
+        /// Target runs the heuristic searches made.
+        pub heuristic_evaluations: u64,
+        /// Individuals scored from a search's memo instead of a run.
+        pub heuristic_memo_hits: u64,
+    }
+
+    /// Registers the counters, by their JSON names, into the unified
+    /// metrics registry (group `"testgen"`).  Idempotent; [`snapshot`]
+    /// calls it.
+    pub fn register() {
+        tmg_obs::registry().register_counters(
+            "testgen",
+            None,
+            vec![
+                ("heuristic_generations", &HEURISTIC_GENERATIONS),
+                ("heuristic_evaluations", &HEURISTIC_EVALUATIONS),
+                ("heuristic_memo_hits", &HEURISTIC_MEMO_HITS),
+            ],
+        );
+    }
+
+    /// Reads the current counter values.
+    pub fn snapshot() -> TestgenMetrics {
+        register();
+        TestgenMetrics {
+            heuristic_generations: HEURISTIC_GENERATIONS.load(Ordering::Relaxed),
+            heuristic_evaluations: HEURISTIC_EVALUATIONS.load(Ordering::Relaxed),
+            heuristic_memo_hits: HEURISTIC_MEMO_HITS.load(Ordering::Relaxed),
+        }
+    }
+
+    pub(super) fn record(stats: &HeuristicStats) {
+        HEURISTIC_GENERATIONS.fetch_add(stats.generations, Ordering::Relaxed);
+        HEURISTIC_EVALUATIONS.fetch_add(stats.evaluations, Ordering::Relaxed);
+        HEURISTIC_MEMO_HITS.fetch_add(stats.memo_hits, Ordering::Relaxed);
+    }
+}
 
 impl Default for HybridGenerator {
     fn default() -> Self {
@@ -240,10 +310,11 @@ impl HybridGenerator {
         self
     }
 
-    /// Restores the legacy generation pipeline — one model-checker search
-    /// per residual goal and allocation-per-call goal matching (used by the
-    /// benchmark harness as the pre-optimisation reference; results are
-    /// identical either way).
+    /// Restores the legacy generation pipeline — the map-based heuristic
+    /// search, one model-checker search per residual goal and
+    /// allocation-per-call goal matching (used by the benchmark harness and
+    /// the identity tests as the pre-optimisation reference; see
+    /// [`HybridGenerator::batch_queries`] for when results agree).
     pub fn unbatched(mut self) -> HybridGenerator {
         self.batch_queries = false;
         self
@@ -341,14 +412,17 @@ impl HybridGenerator {
         let mut status: Vec<Option<CoverageStatus>> = vec![None; goals.len()];
 
         // Phase 1: heuristic (genetic) search.
-        self.heuristic_phase(function, &machine, &goals, &mut status);
+        let stats = self.heuristic_phase(function, &machine, &goals, &mut status);
+        metrics::record(&stats);
 
         // Phase 2: model checking for the residual goals.  The default path
         // batches every residual query of the function through one shared
         // exploration; the per-goal path (kept for the perf baseline and as
         // the semantics reference) fans the independent queries out across
         // cores once there are enough of them to amortise the pool overhead.
-        // All variants merge in goal order and produce identical suites.
+        // All variants merge in goal order; sequential and parallel runs
+        // agree exactly, batched and per-goal runs as `batch_queries` says.
+        let checker_span = tmg_obs::span("testgen:checker");
         let residual: Vec<usize> = (0..goals.len()).filter(|&i| status[i].is_none()).collect();
         // A lazily supplied model is materialised only for a non-empty
         // residual batch on the batching pipeline.
@@ -374,6 +448,7 @@ impl HybridGenerator {
         for (i, outcome) in resolved {
             status[i] = Some(outcome);
         }
+        drop(checker_span);
 
         TestSuite {
             goals: goals
@@ -384,32 +459,20 @@ impl HybridGenerator {
         }
     }
 
+    /// Phase 1: the genetic search.  A parameterless function needs only
+    /// its single run; otherwise the optimised pipeline breeds dense
+    /// genomes against a per-search evaluation memo, and `.unbatched()`
+    /// keeps the map-based reference loop.  Both make the same RNG draws
+    /// in the same order and record the same suites.
     fn heuristic_phase(
         &self,
         function: &Function,
         machine: &Machine<'_>,
         goals: &[CoverageGoal],
         status: &mut [Option<CoverageStatus>],
-    ) {
-        let mut rng = StdRng::seed_from_u64(self.heuristic.seed);
-        // The optimised pipeline matches goals against runs through
-        // pre-computed per-goal state; the legacy pipeline (the benchmark's
-        // measured reference) keeps the allocation-per-call matching.
-        let mut matcher = if self.batch_queries {
-            Some(GoalMatcher::new(goals))
-        } else {
-            None
-        };
-        let domains: Vec<(String, i64, i64)> = function
-            .params
-            .iter()
-            .map(|p| {
-                let (lo, hi) = p.range.unwrap_or_else(|| p.ty.value_range());
-                (p.name.clone(), lo, hi)
-            })
-            .collect();
-        if domains.is_empty() {
-            // No inputs: a single run decides everything reachable.
+    ) -> HeuristicStats {
+        let _span = tmg_obs::span("testgen:heuristic");
+        if function.params.is_empty() {
             if let Ok(run) = machine.run(&InputVector::new(), &[]) {
                 record_coverage(
                     &InputVector::new(),
@@ -419,8 +482,198 @@ impl HybridGenerator {
                     GeneratorKind::Heuristic,
                 );
             }
-            return;
+            return HeuristicStats {
+                evaluations: 1,
+                ..HeuristicStats::default()
+            };
         }
+        if self.batch_queries {
+            self.search_dense(function, machine, goals, status)
+        } else {
+            self.search_reference(function, machine, goals, status)
+        }
+    }
+
+    /// The optimised search.  An individual is a dense genome, one `i64`
+    /// per parameter in `function.params` order, and the population is
+    /// stored flat.  Each distinct genome is run on the target once per
+    /// search: `memo` maps it to the goals its run exercises (`None` when
+    /// the run faults), so repeated individuals — the elites, and the
+    /// duplicates a small input space breeds — are scored from the memo.
+    /// [`Machine::run_params`] is deterministic, so a memo hit is exactly a
+    /// re-run; scoring, coverage recording and selection still walk the
+    /// population in order, so the suite is identical to the reference.
+    fn search_dense(
+        &self,
+        function: &Function,
+        machine: &Machine<'_>,
+        goals: &[CoverageGoal],
+        status: &mut [Option<CoverageStatus>],
+    ) -> HeuristicStats {
+        let mut stats = HeuristicStats::default();
+        let mut rng = StdRng::seed_from_u64(self.heuristic.seed);
+        let mut matcher = GoalMatcher::new(goals);
+        let domains: Vec<(i64, i64)> = function
+            .params
+            .iter()
+            .map(|p| p.range.unwrap_or_else(|| p.ty.value_range()))
+            .collect();
+        let width = domains.len();
+        let size = self.heuristic.population;
+        let to_vector = |genome: &[i64]| -> InputVector {
+            function
+                .params
+                .iter()
+                .zip(genome)
+                .map(|(p, &value)| (p.name.clone(), value))
+                .collect()
+        };
+        let mut population: Vec<i64> = Vec::with_capacity(size * width);
+        for _ in 0..size {
+            population.extend(domains.iter().map(|&(lo, hi)| rng.gen_range(lo..=hi)));
+        }
+        let mut next: Vec<i64> = Vec::with_capacity(size * width);
+        // Genome → index into `outcomes`: the ascending goal indices its run
+        // exercises, `None` for a faulted run.
+        let mut memo: FxHashMap<Box<[i64]>, usize> = FxHashMap::default();
+        let mut outcomes: Vec<Option<Box<[usize]>>> = Vec::new();
+        // Per individual, its outcome index; and the individuals whose
+        // genome is first seen this generation.
+        let mut outcome_of: Vec<usize> = Vec::with_capacity(size);
+        let mut fresh: Vec<usize> = Vec::new();
+        let mut scored: Vec<(usize, usize)> = Vec::with_capacity(size);
+        let mut stall = 0usize;
+        let mut eval_in_parallel = false;
+        for _generation in 0..self.heuristic.max_generations {
+            stats.generations += 1;
+            outcome_of.clear();
+            fresh.clear();
+            for (k, genome) in population.chunks_exact(width).enumerate() {
+                let id = match memo.get(genome) {
+                    Some(&id) => {
+                        stats.memo_hits += 1;
+                        id
+                    }
+                    None => {
+                        let id = outcomes.len();
+                        outcomes.push(None);
+                        memo.insert(genome.into(), id);
+                        fresh.push(k);
+                        id
+                    }
+                };
+                outcome_of.push(id);
+            }
+            // Only the fresh genomes reach the target; the adaptive
+            // fan-out gate measures exactly those runs.
+            let genome = |k: usize| &population[k * width..(k + 1) * width];
+            let run = |&k: &usize| machine.run_params(genome(k)).ok();
+            let runs: Vec<Option<tmg_target::RunResult>> =
+                if self.parallel && eval_in_parallel && fresh.len() > 1 {
+                    fresh.par_iter().map(run).collect()
+                } else {
+                    let eval_start = std::time::Instant::now();
+                    let runs = fresh.iter().map(run).collect();
+                    eval_in_parallel = eval_start.elapsed() >= PARALLEL_EVAL_MIN;
+                    runs
+                };
+            stats.evaluations += fresh.len() as u64;
+            for (&k, run) in fresh.iter().zip(&runs) {
+                outcomes[outcome_of[k]] = run.as_ref().map(|run| {
+                    (0..goals.len())
+                        .filter(|&i| matcher.matches(i, run))
+                        .collect()
+                });
+            }
+            let mut new_coverage = false;
+            scored.clear();
+            for (k, &id) in outcome_of.iter().enumerate() {
+                let Some(exercised) = &outcomes[id] else {
+                    scored.push((0, k));
+                    continue;
+                };
+                // Fitness: how many goals (covered or not) this run
+                // exercises, which rewards individuals that reach deep code.
+                let mut newly = 0;
+                let mut vector: Option<InputVector> = None;
+                for &i in exercised.iter() {
+                    if status[i].is_none() {
+                        let vector = vector.get_or_insert_with(|| to_vector(genome(k)));
+                        status[i] = Some(CoverageStatus::Covered {
+                            vector: vector.clone(),
+                            by: GeneratorKind::Heuristic,
+                        });
+                        newly += 1;
+                    }
+                }
+                new_coverage |= newly > 0;
+                scored.push((exercised.len() + newly * 4, k));
+            }
+            if status.iter().all(|s| s.is_some()) {
+                return stats;
+            }
+            stall = if new_coverage { 0 } else { stall + 1 };
+            if stall >= self.heuristic.stall_generations {
+                return stats;
+            }
+            // Next generation: elitism + tournament crossover + mutation.
+            scored.sort_by_key(|(score, _)| std::cmp::Reverse(*score));
+            next.clear();
+            for &(_, k) in scored.iter().take((size / 4).max(1)) {
+                next.extend_from_slice(genome(k));
+            }
+            while next.len() < size * width {
+                let pick = |rng: &mut StdRng| -> usize {
+                    let a = rng.gen_range(0..scored.len());
+                    let b = rng.gen_range(0..scored.len());
+                    if scored[a].0 >= scored[b].0 {
+                        scored[a].1
+                    } else {
+                        scored[b].1
+                    }
+                };
+                let mother = pick(&mut rng) * width;
+                let father = pick(&mut rng) * width;
+                for (d, &(lo, hi)) in domains.iter().enumerate() {
+                    let inherited = if rng.gen_bool(0.5) {
+                        population[mother + d]
+                    } else {
+                        population[father + d]
+                    };
+                    let value = if rng.gen_bool(self.heuristic.mutation_rate) {
+                        rng.gen_range(lo..=hi)
+                    } else {
+                        inherited
+                    };
+                    next.push(value);
+                }
+            }
+            std::mem::swap(&mut population, &mut next);
+        }
+        stats
+    }
+
+    /// The map-based reference search (`.unbatched()`): every individual is
+    /// an [`InputVector`], every generation re-runs the whole population and
+    /// goal matching allocates per call.  It is the oracle the identity
+    /// tests and `reproduce bench` compare the optimised search against.
+    fn search_reference(
+        &self,
+        function: &Function,
+        machine: &Machine<'_>,
+        goals: &[CoverageGoal],
+        status: &mut [Option<CoverageStatus>],
+    ) -> HeuristicStats {
+        let mut stats = HeuristicStats::default();
+        let mut rng = StdRng::seed_from_u64(self.heuristic.seed);
+        let domains: Vec<(String, i64, i64)> = function
+            .params
+            .iter()
+            .map(|p| {
+                let (lo, hi) = p.range.unwrap_or_else(|| p.ty.value_range());
+                (p.name.clone(), lo, hi)
+            })
+            .collect();
         let random_vector = |rng: &mut StdRng| -> InputVector {
             domains
                 .iter()
@@ -431,27 +684,17 @@ impl HybridGenerator {
             .map(|_| random_vector(&mut rng))
             .collect();
         let mut stall = 0usize;
-        // Fan the evaluation out only once a generation is demonstrably
-        // expensive enough to amortise the pool dispatch (measured on the
-        // first sequential generations).
         let mut eval_in_parallel = false;
         for _generation in 0..self.heuristic.max_generations {
-            // Evaluate the whole generation on the target first — runs are
-            // independent, so they fan out across cores; coverage recording
-            // and selection stay sequential (and the RNG untouched), keeping
-            // the search bit-identical to a sequential evaluation.
+            stats.generations += 1;
+            stats.evaluations += population.len() as u64;
+            let run = |ind: &InputVector| machine.run(ind, &[]).ok();
             let runs: Vec<Option<tmg_target::RunResult>> =
                 if self.parallel && eval_in_parallel && population.len() > 1 {
-                    population
-                        .par_iter()
-                        .map(|ind| machine.run(ind, &[]).ok())
-                        .collect()
+                    population.par_iter().map(run).collect()
                 } else {
                     let eval_start = std::time::Instant::now();
-                    let runs: Vec<Option<tmg_target::RunResult>> = population
-                        .iter()
-                        .map(|ind| machine.run(ind, &[]).ok())
-                        .collect();
+                    let runs = population.iter().map(run).collect();
                     eval_in_parallel = eval_start.elapsed() >= PARALLEL_EVAL_MIN;
                     runs
                 };
@@ -464,40 +707,18 @@ impl HybridGenerator {
                 };
                 // Fitness: how many goals (covered or not) this run exercises,
                 // which rewards individuals that reach deep code.
-                let (newly, exercised) = if let Some(matcher) = matcher.as_mut() {
-                    // Optimised pipeline: one matching pass per goal serves
-                    // both coverage recording and the fitness count.
-                    let mut newly = 0;
-                    let mut exercised = 0;
-                    for (i, _) in goals.iter().enumerate() {
-                        if !matcher.matches(i, run) {
-                            continue;
-                        }
-                        exercised += 1;
-                        if status[i].is_none() {
-                            status[i] = Some(CoverageStatus::Covered {
-                                vector: individual.clone(),
-                                by: GeneratorKind::Heuristic,
-                            });
-                            newly += 1;
-                        }
-                    }
-                    (newly, exercised)
-                } else {
-                    let newly =
-                        record_coverage(individual, run, goals, status, GeneratorKind::Heuristic);
-                    let exercised = goals.iter().filter(|g| goal_matches(g, run)).count();
-                    (newly, exercised)
-                };
+                let newly =
+                    record_coverage(individual, run, goals, status, GeneratorKind::Heuristic);
+                let exercised = goals.iter().filter(|g| goal_matches(g, run)).count();
                 new_coverage |= newly > 0;
                 scored.push((exercised + newly * 4, individual.clone()));
             }
             if status.iter().all(|s| s.is_some()) {
-                return;
+                return stats;
             }
             stall = if new_coverage { 0 } else { stall + 1 };
             if stall >= self.heuristic.stall_generations {
-                return;
+                return stats;
             }
             // Next generation: elitism + tournament crossover + mutation.
             scored.sort_by_key(|(score, _)| std::cmp::Reverse(*score));
@@ -539,6 +760,7 @@ impl HybridGenerator {
             }
             population = next;
         }
+        stats
     }
 
     fn check_goal(
@@ -1035,6 +1257,228 @@ mod tests {
                 .generate(&f, &lowered, &plan);
             assert_eq!(batched, per_goal, "suites diverge on {src}");
         }
+    }
+
+    /// Runs phase 1 alone on `generator`'s search and returns the goal
+    /// statuses it settled with the search's work counts.
+    fn heuristic_only(
+        generator: &HybridGenerator,
+        f: &Function,
+        lowered: &LoweredFunction,
+        plan: &PartitionPlan,
+    ) -> (Vec<Option<CoverageStatus>>, HeuristicStats) {
+        let goals = generator.goals(lowered, plan);
+        let machine = Machine::new(&lowered.cfg, f, generator.cost_model.clone());
+        let mut status = vec![None; goals.len()];
+        let stats = generator.heuristic_phase(f, &machine, &goals, &mut status);
+        (status, stats)
+    }
+
+    /// Asserts that the dense, memoised search and the map-based reference
+    /// settle the same goals with the same vectors at path bound `bound`;
+    /// returns the dense search's work counts.
+    fn assert_search_matches_reference(f: &Function, bound: u128) -> HeuristicStats {
+        let lowered = build_cfg(f);
+        let plan = PartitionPlan::compute(&lowered, bound);
+        let reference = HybridGenerator::new().sequential().unbatched();
+        let (dense_status, stats) = heuristic_only(&HybridGenerator::new(), f, &lowered, &plan);
+        let (reference_status, _) = heuristic_only(&reference, f, &lowered, &plan);
+        assert_eq!(
+            dense_status, reference_status,
+            "heuristic phases diverge on {} at bound {bound}",
+            f.name
+        );
+        stats
+    }
+
+    /// [`assert_search_matches_reference`], and the full default generator
+    /// matches `.sequential().unbatched()` bit for bit.
+    fn assert_dense_matches_reference(f: &Function, bound: u128) -> HeuristicStats {
+        let stats = assert_search_matches_reference(f, bound);
+        let lowered = build_cfg(f);
+        let plan = PartitionPlan::compute(&lowered, bound);
+        let reference = HybridGenerator::new().sequential().unbatched();
+        let optimised = HybridGenerator::new().generate(f, &lowered, &plan);
+        let oracle = reference.generate(f, &lowered, &plan);
+        assert_eq!(
+            optimised, oracle,
+            "suites diverge on {} at bound {bound}",
+            f.name
+        );
+        stats
+    }
+
+    /// A seeded wiper-like statechart: 5-9 states, a three-step `speed`
+    /// selector, 2-4 boolean switches and 1-3 guarded transitions per state.
+    fn seeded_statechart(seed: u64) -> Function {
+        use tmg_codegen::{StateTransition, Statechart};
+        const FLAGS: [&str; 4] = ["wash", "endpos", "interval", "overcurrent"];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let states = rng.gen_range(5..=9usize);
+        let flags = &FLAGS[..rng.gen_range(2..=4usize)];
+        let names = (0..states).map(|s| format!("S{s}")).collect();
+        let mut chart =
+            Statechart::new(format!("chart{seed}"), names).with_input("char speed __range(0, 2)");
+        for flag in flags {
+            chart = chart.with_input(format!("bool {flag}"));
+        }
+        for from in 0..states {
+            for _ in 0..rng.gen_range(1..=3usize) {
+                let flag = flags[rng.gen_range(0..flags.len())];
+                let guard = match rng.gen_range(0..3u32) {
+                    0 => format!("speed == {}", rng.gen_range(0..=2i64)),
+                    1 => flag.to_owned(),
+                    _ => format!("speed > 0 && !{flag}"),
+                };
+                let to = (from + rng.gen_range(1..states)) % states;
+                let actions = vec![format!("act{}", rng.gen_range(0..4u32))];
+                chart = chart.with_transition(StateTransition {
+                    from,
+                    to,
+                    guard,
+                    actions,
+                });
+            }
+        }
+        chart.to_function()
+    }
+
+    /// The case-study path bound: the largest path count of any top-level
+    /// region, so every `switch` arm is one segment.
+    fn case_bound(lowered: &LoweredFunction) -> u128 {
+        lowered
+            .regions
+            .root()
+            .children
+            .iter()
+            .map(|c| lowered.regions.region(*c).path_count)
+            .max()
+            .unwrap_or(1)
+    }
+
+    #[test]
+    fn dense_search_matches_the_reference_on_generated_statecharts() {
+        let mut memo_hits = 0;
+        for seed in 0..32 {
+            let f = seeded_statechart(seed);
+            for bound in [1, case_bound(&build_cfg(&f))] {
+                memo_hits += assert_dense_matches_reference(&f, bound).memo_hits;
+            }
+        }
+        assert!(memo_hits > 0, "the memo must serve repeated individuals");
+    }
+
+    #[test]
+    fn dense_search_matches_the_reference_on_generated_automotive_code() {
+        // Phase 1 only: at path bound 8 the checker phase of these functions
+        // takes seconds per function, and there the batched checker settles
+        // goals the per-goal reference leaves `Unknown`, so whole suites
+        // are not comparable against `.unbatched()`.
+        use tmg_codegen::{generate_automotive, AutomotiveConfig};
+        for seed in 0..16 {
+            let generated = generate_automotive(&AutomotiveConfig::small(seed));
+            for bound in [1, 8] {
+                assert_search_matches_reference(&generated.function, bound);
+            }
+        }
+    }
+
+    #[test]
+    fn dense_search_handles_a_parameterless_function() {
+        let f = parse_function("void f() { p1(); p2(); }").expect("parse");
+        let stats = assert_dense_matches_reference(&f, 10);
+        assert_eq!(stats.evaluations, 1, "a single run decides everything");
+        assert_eq!(stats.generations, 0);
+    }
+
+    #[test]
+    fn dense_search_handles_a_single_value_domain() {
+        let src = r#"
+            void f(char k __range(3, 3), char b __range(0, 5)) {
+                if (k == 3) { p1(); } else { p2(); }
+                if (b > 2) { p3(); }
+            }
+        "#;
+        let f = parse_function(src).expect("parse");
+        for bound in [1, 10] {
+            let stats = assert_dense_matches_reference(&f, bound);
+            assert!(stats.evaluations <= 6, "only b varies: {stats:?}");
+        }
+    }
+
+    #[test]
+    fn dense_search_scores_faulting_runs_like_the_reference() {
+        // `a == 0` divides by zero: that run faults, is memoised as such
+        // and scores 0 in every later generation too.  The rare `c` ranges
+        // are found generations in, so which vector covers them depends
+        // on how faulting individuals fared in selection.
+        let src = r#"
+            void f(char a __range(0, 3), int c __range(0, 1000)) {
+                char q = 0;
+                q = 12 / a;
+                if (q > 5) { p1(); } else { p2(); }
+                if (c > 990) { p3(); }
+                if (c < 10) { p4(); }
+                if (c == 500) { p5(); }
+            }
+        "#;
+        let f = parse_function(src).expect("parse");
+        let lowered = build_cfg(&f);
+        let machine = Machine::new(&lowered.cfg, &f, CostModel::hcs12());
+        assert!(machine.run_params(&[0, 0]).is_err(), "a == 0 must fault");
+        assert!(machine.run_params(&[1, 0]).is_ok());
+        for bound in [1, 1000] {
+            assert_dense_matches_reference(&f, bound);
+        }
+    }
+
+    #[test]
+    fn dense_search_dedupes_individuals_within_a_generation() {
+        // Two input vectors and 32 individuals: the first generation alone
+        // repeats each vector many times.
+        let src = "void f(bool a) { if (a) { p1(); } else { p2(); } p3(); }";
+        let f = parse_function(src).expect("parse");
+        for bound in [1, 10] {
+            let stats = assert_dense_matches_reference(&f, bound);
+            assert!(stats.evaluations <= 2, "{stats:?}");
+            assert!(stats.memo_hits >= 30, "{stats:?}");
+        }
+    }
+
+    #[test]
+    fn the_memo_runs_each_distinct_vector_at_most_once_per_search() {
+        // 16 input vectors; the infeasible pair keeps the search running
+        // until it stalls, so many generations repeat old individuals.
+        let src = r#"
+            void f(char a __range(0, 3), char b __range(0, 3)) {
+                if (a > 2) { p1(); }
+                if (a < 1) { p2(); }
+                if (b == 2) { p3(); }
+            }
+        "#;
+        let f = parse_function(src).expect("parse");
+        let lowered = build_cfg(&f);
+        let plan = PartitionPlan::compute(&lowered, 100);
+        let generator = HybridGenerator::new();
+        let (_, stats) = heuristic_only(&generator, &f, &lowered, &plan);
+        assert!(
+            stats.generations > generator.heuristic.stall_generations as u64,
+            "{stats:?}"
+        );
+        assert!(stats.evaluations <= 16, "{stats:?}");
+        assert_eq!(
+            stats.evaluations + stats.memo_hits,
+            stats.generations * generator.heuristic.population as u64,
+            "every individual is either run or served from the memo"
+        );
+        // The registry counters take each search's counts (other tests may
+        // add to them concurrently, never subtract).
+        let before = metrics::snapshot();
+        generator.generate(&f, &lowered, &plan);
+        let after = metrics::snapshot();
+        assert!(after.heuristic_evaluations - before.heuristic_evaluations >= stats.evaluations);
+        assert!(after.heuristic_memo_hits - before.heuristic_memo_hits >= stats.memo_hits);
+        assert!(after.heuristic_generations - before.heuristic_generations >= stats.generations);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! | `analyse`  | `source` (mini-C module), `path_bound`, optional `function` filter, optional `deadline_ms` | `reports`: one object per analysed function |
 //! | `analyse_module` | `source`, `path_bound`, optional `deadline_ms` | interprocedural composition: `roots` (composed bounds of the call-graph roots), per-function `summaries` and `reports`, differential reuse counters |
 //! | `sweep`    | `source`, optional `max_bound` (default 10⁶), optional `deadline_ms` | `points`: the Figure-2/3 tradeoff curve |
-//! | `stats`    | —                                                     | `stats`: the unified `tmg-obs-stats/v1` metrics snapshot (tier counters, checker/module groups, per-op latency histograms) |
+//! | `stats`    | —                                                     | `stats`: the unified `tmg-obs-stats/v1` metrics snapshot (tier counters, checker/module/testgen groups, per-op latency histograms) |
 //! | `profile`  | `trace_id` of a completed request                     | `profile`: the retained span tree (`tmg-obs-profile/v1`), or a typed `unknown_trace` error |
 //! | `shutdown` | —                                                     | ack after the drain + disk flush, then the server exits |
 //!

@@ -101,8 +101,9 @@ impl TierStats {
     /// Renders the snapshot as one JSON object (hand-written; schema
     /// `tmg-obs-stats/v1`), embedding the memory tier's
     /// [`StoreStats::to_json`] output, the unified metrics registry's
-    /// `checker` and `module` groups and the segment-tier counters, so
-    /// perf work on both the checker and the storage engine stays
+    /// `checker`, `module` and `testgen` groups and the segment-tier
+    /// counters, so perf work on the checker, the heuristic search and
+    /// the storage engine stays
     /// observable through the service `stats` op.  Every top-level key of
     /// the predecessor `tmg-tier-stats/v1` schema is preserved (asserted
     /// by the schema-stability tests); only the `schema` value moved.
@@ -130,17 +131,19 @@ impl TierStats {
         // render the groups — so make sure they are registered.
         tmg_tsys::metrics::register();
         tmg_core::module::metrics::register();
+        tmg_core::testgen::metrics::register();
         let registry = tmg_obs::registry();
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{ \"schema\": \"tmg-obs-stats/v1\", \"computes\": {}, \"disk_bytes\": {}, \"disk_budget\": {}, \"memory\": {}, \"checker\": {}, \"module\": {}, ",
+            "{{ \"schema\": \"tmg-obs-stats/v1\", \"computes\": {}, \"disk_bytes\": {}, \"disk_budget\": {}, \"memory\": {}, \"checker\": {}, \"module\": {}, \"testgen\": {}, ",
             self.total_computes(),
             self.disk_bytes,
             self.disk_budget,
             self.memory.to_json(),
             registry.group_json("checker").expect("checker registered"),
-            registry.group_json("module").expect("module registered")
+            registry.group_json("module").expect("module registered"),
+            registry.group_json("testgen").expect("testgen registered")
         );
         let s = &self.segment;
         let _ = write!(

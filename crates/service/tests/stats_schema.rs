@@ -79,3 +79,39 @@ fn every_documented_tier_stats_key_survives_the_obs_migration() {
     );
     let _ = std::fs::remove_dir_all(&root);
 }
+
+#[test]
+fn the_snapshot_carries_the_heuristic_search_counters() {
+    let root = temp_root("testgen");
+    let store =
+        Arc::new(PersistentStore::with_config(PersistentStoreConfig::new(&root)).expect("open"));
+    let source = "void f(char a __range(0, 5)) { if (a > 2) { x(); } else { y(); } }";
+    let script = format!(
+        "{{\"id\": 1, \"op\": \"analyse\", \"source\": \"{}\", \"path_bound\": 2}}\n\
+         {{\"id\": 2, \"op\": \"stats\"}}\n\
+         {{\"id\": 3, \"op\": \"shutdown\"}}\n",
+        json::escape(source)
+    );
+    let mut out = Vec::new();
+    Server::new(store)
+        .serve(Cursor::new(script), &mut out)
+        .expect("serve succeeds");
+    let text = String::from_utf8(out).expect("utf-8 responses");
+    let stats_line = text
+        .lines()
+        .find(|line| line.contains("\"op\": \"stats\""))
+        .expect("a stats response");
+    let response = json::parse(stats_line).expect("stats response parses");
+    let stats = response.get("stats").expect("stats object");
+    let counter = |key: &str| {
+        lookup(stats, &format!("testgen.{key}"))
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("testgen.{key} missing: {stats_line}"))
+    };
+    // The cold analyse ran one heuristic search (counters are process-wide,
+    // so other tests may only add to them).
+    assert!(counter("heuristic_generations") >= 1);
+    assert!(counter("heuristic_evaluations") >= 1);
+    counter("heuristic_memo_hits");
+    let _ = std::fs::remove_dir_all(&root);
+}

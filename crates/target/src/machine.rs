@@ -155,7 +155,22 @@ impl<'a> Machine<'a> {
         points: &[InstrumentationPoint],
     ) -> Result<RunResult, TargetError> {
         let mut calls = Vec::new();
-        self.run_impl::<false>(inputs, points, &mut calls)
+        self.run_impl::<false>(|_, name| inputs.get(name).unwrap_or(0), points, &mut calls)
+    }
+
+    /// Like [`Machine::run`] without instrumentation, taking the inputs as
+    /// one value per parameter in `function.params` order (missing values
+    /// default to zero).  The heuristic search keeps its individuals in
+    /// this dense form, so its runs skip building a name-keyed
+    /// [`InputVector`]; the result is the same as running the equivalent
+    /// vector.
+    ///
+    /// # Errors
+    ///
+    /// As [`Machine::run`].
+    pub fn run_params(&self, values: &[i64]) -> Result<RunResult, TargetError> {
+        let mut calls = Vec::new();
+        self.run_impl::<false>(|i, _| values.get(i).copied().unwrap_or(0), &[], &mut calls)
     }
 
     /// Like [`Machine::run`] without instrumentation, additionally recording
@@ -168,7 +183,8 @@ impl<'a> Machine<'a> {
         inputs: &InputVector,
     ) -> Result<(RunResult, Vec<CallRecord>), TargetError> {
         let mut calls = Vec::new();
-        let result = self.run_impl::<true>(inputs, &[], &mut calls)?;
+        let result =
+            self.run_impl::<true>(|_, name| inputs.get(name).unwrap_or(0), &[], &mut calls)?;
         Ok((result, calls))
     }
 
@@ -177,9 +193,11 @@ impl<'a> Machine<'a> {
         self.exec.name(id)
     }
 
+    /// The run loop; `param(i, name)` supplies the raw value of the `i`-th
+    /// parameter.
     fn run_impl<const RECORD: bool>(
         &self,
-        inputs: &InputVector,
+        param: impl Fn(usize, &str) -> i64,
         points: &[InstrumentationPoint],
         calls: &mut Vec<CallRecord>,
     ) -> Result<RunResult, TargetError> {
@@ -199,8 +217,8 @@ impl<'a> Machine<'a> {
 
         let exec = &self.exec;
         let mut env: Vec<i64> = vec![0; exec.slot_tys.len()];
-        for (name, slot, ty) in exec.params.iter() {
-            let raw = inputs.get(name).unwrap_or(0);
+        for (i, (name, slot, ty)) in exec.params.iter().enumerate() {
+            let raw = param(i, name);
             env[*slot as usize] = ty.wrap(raw);
         }
         for (slot, ty, init) in exec.locals.iter() {
@@ -503,6 +521,27 @@ mod tests {
         assert_eq!(
             instrumented.cycles,
             plain.cycles + 2 * CostModel::hcs12().read_cycle_counter
+        );
+    }
+
+    #[test]
+    fn run_params_takes_values_in_parameter_order() {
+        // Parameters declared out of name order, and a value the `char`
+        // parameter wraps: the dense entry must match the named vector.
+        let (f, lowered) = machine_for(
+            "int f(char b, int a __range(0, 9)) { if (a > 4) { x(); } return a * 100 + b; }",
+        );
+        let machine = Machine::new(&lowered.cfg, &f, CostModel::hcs12());
+        for (b, a) in [(3, 7), (300, 2), (-5, 0)] {
+            let named = machine
+                .run(&InputVector::new().with("a", a).with("b", b), &[])
+                .expect("run");
+            assert_eq!(machine.run_params(&[b, a]).expect("run"), named);
+        }
+        assert_eq!(
+            machine.run_params(&[]).expect("run"),
+            machine.run(&InputVector::new(), &[]).expect("run"),
+            "missing values default to zero"
         );
     }
 
