@@ -1,8 +1,8 @@
 //! Shared experiment drivers for the benchmark harness.
 //!
 //! Each public function regenerates the data behind one table or figure of
-//! the paper's evaluation; the Criterion benches time them and the
-//! `reproduce` binary prints them as tables (recorded in `EXPERIMENTS.md`).
+//! the paper's evaluation; the `reproduce` binary prints them as tables and
+//! `reproduce bench` times them.
 
 pub mod chaos;
 pub mod loadtest;
@@ -19,11 +19,9 @@ use tmg_codegen::{
     figure1_function, generate_automotive, table2::table2_function, wiper_function,
     wiper_input_space, AutomotiveConfig,
 };
-use tmg_core::measurement::exhaustive_end_to_end;
 use tmg_core::tradeoff::{log_spaced_bounds, sweep_path_bounds, sweep_path_bounds_reference};
 use tmg_core::{HybridGenerator, PartitionPlan, TradeoffPoint, WcetAnalysis};
 use tmg_minic::{parse_function, Function};
-use tmg_target::CostModel;
 use tmg_tsys::{CheckOutcome, ModelChecker, Optimisations, PathQuery};
 
 /// One row of Table 1: `(path bound b, instrumentation points ip, measurements m)`.
@@ -441,21 +439,6 @@ pub fn sweep_crosscheck() -> usize {
     reference.len()
 }
 
-/// Convenience used by the case-study bench: the exhaustive end-to-end
-/// maximum on its own.
-pub fn wiper_exhaustive_max() -> u64 {
-    let function = wiper_function();
-    let lowered = build_cfg(&function);
-    exhaustive_end_to_end(
-        &function,
-        &lowered,
-        &wiper_input_space(),
-        &CostModel::hcs12(),
-    )
-    .expect("exhaustive")
-    .0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,6 +479,39 @@ mod tests {
         }
         let concat = by_label("Statement Concatenation");
         assert!(concat.steps.unwrap_or(u64::MAX) < unopt.steps.unwrap_or(0).max(1) + 1);
+    }
+
+    #[test]
+    fn table2_deterministic_columns_are_golden() {
+        // Every column but wall time is a pure function of the checker's
+        // search: (label, memory bytes, steps, transitions, state bits).
+        let rows: Vec<_> = table2()
+            .into_iter()
+            .map(|r| {
+                let steps = r.steps.expect("every row finds a witness");
+                (
+                    r.label,
+                    r.memory_bytes,
+                    steps,
+                    r.transitions_fired,
+                    r.state_bits,
+                )
+            })
+            .collect();
+        let golden = [
+            ("unoptimized", 43956, 36, 393, 143),
+            ("all optimisations used", 610, 19, 47, 36),
+            ("Variable Initialisation", 39348, 36, 393, 143),
+            ("Variable Range Analysis", 6084, 36, 137, 102),
+            ("Reverse CSE", 32070, 33, 89, 118),
+            ("Statement Concatenation", 43200, 22, 351, 142),
+            ("Dead Variable Elimination", 31720, 34, 391, 102),
+            ("Live-Variable Analysis", 29292, 35, 392, 94),
+        ]
+        .map(|(label, memory, steps, transitions, bits)| {
+            (label.to_owned(), memory, steps, transitions, bits)
+        });
+        assert_eq!(rows, golden);
     }
 
     #[test]

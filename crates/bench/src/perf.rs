@@ -462,8 +462,8 @@ fn compare_testgen(name: &str, function: &tmg_minic::Function, bound: u128) -> C
 }
 
 /// Isolated multi-query measurement: one function's coverage-query batch
-/// answered per query on the arena engine (PR 1's optimised path) vs through
-/// one shared exploration (`ModelChecker::check_many`).
+/// answered one query at a time (`find_test_data`, a one-query exploration
+/// each) vs through one shared exploration (`ModelChecker::check_many`).
 fn compare_multiquery(
     name: &str,
     function: &tmg_minic::Function,
@@ -1269,8 +1269,8 @@ pub fn perf_report() -> PerfReport {
     let table1_matches_paper = table1_rows == table1_paper();
 
     // Figure 2/3: tradeoff sweep on a mid-sized generated function (the full
-    // 850-block sweep runs in the criterion benches; the baseline keeps the
-    // JSON fast to regenerate).
+    // 850-block sweep is `reproduce figure2`; the baseline keeps the JSON
+    // fast to regenerate).
     let (figure2_3_wall, (stats, _)) = timed(|| figure2_3(400));
 
     // Table 2: the model-checker ablation.  The Baseline engine it used to

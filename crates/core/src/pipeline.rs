@@ -1082,6 +1082,34 @@ mod tests {
     }
 
     #[test]
+    fn artifact_keys_ignore_the_cancel_token() {
+        // The keys hash the checker's hand-written `Debug`, which leaves the
+        // runtime-only cancel token out: a per-request deadline must not
+        // fragment the cache.
+        let function_key = tmg_cfg::function_fingerprint(&small_function());
+        let partition = partition_key(function_key, 4);
+        let plain = WcetAnalysis::new(4);
+        let live = WcetAnalysis::new(4).with_cancel(tmg_tsys::CancelToken::new());
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        let timed =
+            WcetAnalysis::new(4).with_cancel(tmg_tsys::CancelToken::with_deadline(deadline));
+        for other in [&live, &timed] {
+            assert_eq!(
+                prepared_model_key(function_key, &plain.generator.checker),
+                prepared_model_key(function_key, &other.generator.checker)
+            );
+            assert_eq!(
+                suite_key(partition, &plain.generator),
+                suite_key(partition, &other.generator)
+            );
+            assert_eq!(
+                bound_key(&plain, function_key, None),
+                bound_key(other, function_key, None)
+            );
+        }
+    }
+
+    #[test]
     fn stage_names_are_stable() {
         let names: Vec<&str> = STAGES.iter().map(|s| s.name()).collect();
         assert_eq!(

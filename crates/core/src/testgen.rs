@@ -185,9 +185,12 @@ pub struct HybridGenerator {
     pub max_paths_per_segment: usize,
     /// Cost model of the target used to replay candidate vectors.
     pub cost_model: CostModel,
-    /// Run the model-checking phase across all cores (checker queries are
-    /// independent per goal, and results are merged in goal order, so the
-    /// generated suite is identical to a sequential run).
+    /// Fan work out across cores: the heuristic phase's population runs
+    /// (once a generation is slow enough to pay for it) and
+    /// `WcetAnalysis::analyse_all`'s per-function fan-out.  Results are
+    /// collected in order, so they are identical to a sequential run.  The
+    /// legacy pipeline ([`HybridGenerator::unbatched`]) always runs
+    /// sequentially.
     pub parallel: bool,
     /// Select the optimised generation pipeline: all of a function's
     /// residual goals are answered through one shared state-space
@@ -204,11 +207,6 @@ pub struct HybridGenerator {
     /// code at path bound 8 shows this).
     pub batch_queries: bool,
 }
-
-/// Residual-goal count below which the per-goal checker fan-out runs inline:
-/// a couple of queries finish faster on the current thread than the rayon
-/// pool can hand them out and collect them back.
-const PARALLEL_RESIDUAL_THRESHOLD: usize = 4;
 
 /// A sequentially-measured generation evaluation must cost at least this
 /// much before the population fan-out moves to the worker pool: dispatching
@@ -303,8 +301,8 @@ impl HybridGenerator {
         }
     }
 
-    /// Disables the parallel model-checking phase (used by the benchmark
-    /// harness to measure the speedup; results are identical either way).
+    /// Disables the parallel fan-outs (see [`HybridGenerator::parallel`];
+    /// results are identical either way).
     pub fn sequential(mut self) -> HybridGenerator {
         self.parallel = false;
         self
@@ -314,7 +312,9 @@ impl HybridGenerator {
     /// search, one model-checker search per residual goal and
     /// allocation-per-call goal matching (used by the benchmark harness and
     /// the identity tests as the pre-optimisation reference; see
-    /// [`HybridGenerator::batch_queries`] for when results agree).
+    /// [`HybridGenerator::batch_queries`] for when results agree).  The
+    /// legacy pipeline always runs sequentially, whatever
+    /// [`HybridGenerator::parallel`] says.
     pub fn unbatched(mut self) -> HybridGenerator {
         self.batch_queries = false;
         self
@@ -418,10 +418,8 @@ impl HybridGenerator {
         // Phase 2: model checking for the residual goals.  The default path
         // batches every residual query of the function through one shared
         // exploration; the per-goal path (kept for the perf baseline and as
-        // the semantics reference) fans the independent queries out across
-        // cores once there are enough of them to amortise the pool overhead.
-        // All variants merge in goal order; sequential and parallel runs
-        // agree exactly, batched and per-goal runs as `batch_queries` says.
+        // the semantics reference) asks one query at a time, in goal order.
+        // Batched and per-goal runs agree as `batch_queries` says.
         let checker_span = tmg_obs::span("testgen:checker");
         let residual: Vec<usize> = (0..goals.len()).filter(|&i| status[i].is_none()).collect();
         // A lazily supplied model is materialised only for a non-empty
@@ -438,12 +436,10 @@ impl HybridGenerator {
         let resolved: Vec<(usize, CoverageStatus)> = if self.batch_queries {
             self.check_residual_batched(function, lowered, &machine, &goals, &residual, shared)
         } else {
-            let check = |&i: &usize| (i, self.check_goal(function, lowered, &machine, &goals[i]));
-            if self.parallel && residual.len() >= PARALLEL_RESIDUAL_THRESHOLD {
-                residual.par_iter().map(check).collect()
-            } else {
-                residual.iter().map(check).collect()
-            }
+            residual
+                .iter()
+                .map(|&i| (i, self.check_goal(function, lowered, &machine, &goals[i])))
+                .collect()
         };
         for (i, outcome) in resolved {
             status[i] = Some(outcome);
@@ -684,20 +680,13 @@ impl HybridGenerator {
             .map(|_| random_vector(&mut rng))
             .collect();
         let mut stall = 0usize;
-        let mut eval_in_parallel = false;
         for _generation in 0..self.heuristic.max_generations {
             stats.generations += 1;
             stats.evaluations += population.len() as u64;
-            let run = |ind: &InputVector| machine.run(ind, &[]).ok();
-            let runs: Vec<Option<tmg_target::RunResult>> =
-                if self.parallel && eval_in_parallel && population.len() > 1 {
-                    population.par_iter().map(run).collect()
-                } else {
-                    let eval_start = std::time::Instant::now();
-                    let runs = population.iter().map(run).collect();
-                    eval_in_parallel = eval_start.elapsed() >= PARALLEL_EVAL_MIN;
-                    runs
-                };
+            let runs: Vec<Option<tmg_target::RunResult>> = population
+                .iter()
+                .map(|ind| machine.run(ind, &[]).ok())
+                .collect();
             let mut new_coverage = false;
             let mut scored: Vec<(usize, InputVector)> = Vec::with_capacity(population.len());
             for (individual, run) in population.iter().zip(&runs) {

@@ -93,11 +93,6 @@ impl TierStats {
         self.disk.iter().map(|s| s.computes).sum()
     }
 
-    /// Total disk hits across all stages.
-    pub fn total_disk_hits(&self) -> u64 {
-        self.disk.iter().map(|s| s.hits).sum()
-    }
-
     /// Renders the snapshot as one JSON object (hand-written; schema
     /// `tmg-obs-stats/v1`), embedding the memory tier's
     /// [`StoreStats::to_json`] output, the unified metrics registry's
@@ -232,18 +227,6 @@ impl PersistentStoreConfig {
     /// Overrides the active-segment rotation threshold.
     pub fn with_segment_bytes(mut self, bytes: u64) -> PersistentStoreConfig {
         self.segment_bytes = bytes;
-        self
-    }
-
-    /// Overrides the group-commit latency window.
-    pub fn with_group_commit_window_ms(mut self, ms: u64) -> PersistentStoreConfig {
-        self.group_commit_window_ms = ms;
-        self
-    }
-
-    /// Overrides the in-memory per-stage entry cap.
-    pub fn with_memory_capacity(mut self, capacity: usize) -> PersistentStoreConfig {
-        self.memory_capacity = capacity;
         self
     }
 

@@ -12,27 +12,25 @@
 //! reduce: the width of variable domains, the number of variables in the
 //! state vector and the number of transitions.
 //!
-//! The search engine ([`SearchEngine::Arena`]) keeps every live state packed
-//! in one contiguous arena — a flat `i64` value array plus a known-bits
-//! mask, pushed and popped in stack discipline with zero per-state heap
-//! allocations — evaluates pre-resolved (index-based) expressions from a
-//! [`PreparedModel`], and deduplicates revisited
-//! `(location, monitor, valuation)` states through a depth-aware
-//! `rustc-hash` table.  (The original clone-per-state `Baseline` engine was
-//! retired once three PRs of `BENCH_*.json` before/after trajectory existed;
-//! its recorded wall times remain the benchmark's *before* floors.)
+//! This module holds the checker's interface: queries, verdicts, cost
+//! statistics, the configuration and the cacheable [`SharedCheckModel`].
+//! Every search runs on the one explorer in [`crate::multiquery`].  A batch
+//! of queries shares one exploration, and a single query (a
+//! [`ModelChecker::find_test_data`] call, a solo batch, a budget fallback,
+//! the slicing path's pinned witness completion) is a one-query
+//! exploration.  The explorer keeps every live state packed in one
+//! contiguous arena and evaluates pre-resolved (index-based) expressions
+//! from a [`PreparedModel`].
 
 use crate::encode::encode_function;
 use crate::model::{Model, VarRole};
+use crate::multiquery::MultiQueryEngine;
 use crate::opt::{apply_optimisations_preserving, OptReport, Optimisations};
-use crate::prepared::{
-    ExprPool, FastGuard, INode, NodeId, OwnedPreparedModel, PreparedModel, PreparedTransition,
-};
-use rustc_hash::FxHashMap;
+use crate::prepared::{OwnedPreparedModel, PreparedModel};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
-use std::time::{Duration, Instant};
-use tmg_minic::ast::{BinOp, Function, StmtId, UnOp};
+use std::time::Duration;
+use tmg_minic::ast::{Function, StmtId};
 use tmg_minic::interp::BranchChoice;
 use tmg_minic::value::InputVector;
 
@@ -150,21 +148,6 @@ pub struct CheckResult {
     pub opt_report: OptReport,
 }
 
-/// Which explicit-state search implementation to run.
-///
-/// A single variant remains: the clone-per-state `Baseline` engine was
-/// dropped after PR 3 (ROADMAP-sanctioned once the `BENCH_*.json` trajectory
-/// existed).  The enum itself stays because the engine choice is part of the
-/// checker's `Debug`-rendered configuration, which feeds the content hashes
-/// of the persistent artifact cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum SearchEngine {
-    /// Packed contiguous state arena, pre-resolved expressions, depth-aware
-    /// revisit dedup.
-    #[default]
-    Arena,
-}
-
 /// Explicit-state bounded model checker.
 #[derive(Clone)]
 pub struct ModelChecker {
@@ -176,8 +159,6 @@ pub struct ModelChecker {
     /// Maximum length of a single run (guards against loops whose bound
     /// annotation is violated for some inputs).
     pub max_depth: u64,
-    /// Search implementation.
-    pub engine: SearchEngine,
     /// Cone-of-influence slicing for multi-query batches
     /// ([`ModelChecker::check_many_shared`]): before the shared exploration
     /// runs, the batch model is sliced to the def/use cone of the queried
@@ -191,21 +172,13 @@ pub struct ModelChecker {
     /// `Debug`-rendered configuration, so the pipeline's content-addressed
     /// artifact keys change with it.
     pub slicing: bool,
-    /// Number of expanded states after which the arena engine starts
-    /// deduplicating revisited `(location, monitor, valuation)` states.
-    /// On searches that complete within the transition budget, dedup is pure
-    /// pruning and never changes a verdict; a budget-limited search may
-    /// settle to a definite verdict where an undeduped one would report
-    /// [`CheckOutcome::Unknown`], because pruning stretches the budget
-    /// further.  It only trades hashing cost against re-exploration cost.
-    pub dedup_after_pops: u64,
     /// Cooperative cancellation handle, polled at shard-claim boundaries of
-    /// the multi-query explorer and between per-query fallback searches.  A
-    /// fired token makes the search *unwind* with [`crate::cancel::Cancelled`]
-    /// (caught by [`crate::cancel::catch_cancel`] at the pipeline boundary)
-    /// rather than return a weaker verdict — a cancelled search never
-    /// produces, and therefore never caches, a result.  Runtime-only state:
-    /// deliberately excluded from the checker's `Debug` rendering so the
+    /// the explorer and before every per-query search.  A fired token makes
+    /// the search *unwind* with [`crate::cancel::Cancelled`] (caught by
+    /// [`crate::cancel::catch_cancel`] at the pipeline boundary) rather than
+    /// return a weaker verdict — a cancelled search never produces, and
+    /// therefore never caches, a result.  Runtime-only state: deliberately
+    /// excluded from the checker's `Debug` rendering so the
     /// content-addressed artifact keys are deadline-independent.
     pub cancel: crate::cancel::CancelToken,
 }
@@ -218,31 +191,17 @@ impl Default for ModelChecker {
 
 impl std::fmt::Debug for ModelChecker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Renders exactly the configuration fields the derived impl covered
-        // before the cancel token existed: the persistent artifact keys hash
-        // this string, and a per-request deadline must not fragment the
-        // cache (see `tmg_core::pipeline`'s key derivation).
+        // Renders the configuration fields only: the persistent artifact
+        // keys hash this string, and a per-request deadline must not
+        // fragment the cache (see `tmg_core::pipeline`'s key derivation).
         f.debug_struct("ModelChecker")
             .field("optimisations", &self.optimisations)
             .field("max_transitions", &self.max_transitions)
             .field("max_depth", &self.max_depth)
-            .field("engine", &self.engine)
             .field("slicing", &self.slicing)
-            .field("dedup_after_pops", &self.dedup_after_pops)
             .finish()
     }
 }
-
-/// Cap on remembered `(location, monitor, valuation)` states: beyond this the
-/// search keeps running but stops deduplicating, bounding memory without
-/// affecting soundness.
-pub(crate) const VISITED_CAP: usize = 1 << 21;
-
-/// Default for [`ModelChecker::dedup_after_pops`]: high enough that ordinary
-/// test-data queries (including full scans of one 16-bit domain) never pay
-/// the hashing cost, low enough that a genuine state-space blow-up starts
-/// pruning long before the transition budget is gone.
-const DEDUP_AFTER_POPS_DEFAULT: u64 = 1 << 20;
 
 impl ModelChecker {
     /// A checker with all optimisations enabled and default budgets.
@@ -256,9 +215,7 @@ impl ModelChecker {
             optimisations,
             max_transitions: 50_000_000,
             max_depth: 100_000,
-            engine: SearchEngine::default(),
             slicing: true,
-            dedup_after_pops: DEDUP_AFTER_POPS_DEFAULT,
             cancel: crate::cancel::CancelToken::none(),
         }
     }
@@ -266,12 +223,6 @@ impl ModelChecker {
     /// Sets the transition budget.
     pub fn with_budget(mut self, max_transitions: u64) -> ModelChecker {
         self.max_transitions = max_transitions;
-        self
-    }
-
-    /// Selects the search engine.
-    pub fn with_engine(mut self, engine: SearchEngine) -> ModelChecker {
-        self.engine = engine;
         self
     }
 
@@ -310,22 +261,21 @@ impl ModelChecker {
     /// state-space exploration across all of them whenever that is provably
     /// equivalent to asking each query on its own.
     ///
-    /// The shared path requires (a) the arena engine and (b) that the
-    /// source-level optimisations produce the same function under every
-    /// query's preserve set ([`crate::opt::shared_optimisation_for_queries`]);
-    /// otherwise — and for the queries a budget-exhausted shared exploration
-    /// leaves unresolved — the method falls back to per-query
+    /// The shared path requires that the source-level optimisations produce
+    /// the same function under every query's preserve set
+    /// ([`crate::opt::shared_optimisation_for_queries`]); otherwise — and
+    /// for the queries a budget-exhausted shared exploration leaves
+    /// unresolved — the method falls back to per-query
     /// [`ModelChecker::find_test_data`].  Either way every returned
     /// [`CheckOutcome`] (verdict, witness and step count) is bit-identical to
-    /// the undeduped reference search — and therefore to the single-query
-    /// engines on every search that settles within the transition budget.
-    /// Budget-limited searches carry the same caveat the arena engine's
-    /// [`dedup_after_pops`](ModelChecker::dedup_after_pops) already
-    /// documents: once adaptive revisit dedup engages (after 2²⁰ pops), a
-    /// per-query arena search may settle a verdict the undeduped accounting
-    /// reports as [`CheckOutcome::Unknown`].  Only the cost statistics always
-    /// differ, because batched queries report the cost of the shared
-    /// exploration.
+    /// the per-query search on every search that settles within the
+    /// transition budget (slicing's witness caveat aside, see
+    /// [`ModelChecker::slicing`]).  Budget-limited searches carry the
+    /// explorer's one caveat: once a shard's sub-DFS passes 2²⁰ pops its
+    /// revisit dedup may engage and settle a verdict the undeduped
+    /// accounting reports as [`CheckOutcome::Unknown`] (see
+    /// [`crate::multiquery`]).  Only the cost statistics always differ,
+    /// because batched queries report the cost of the shared exploration.
     pub fn check_many(&self, function: &Function, queries: &[PathQuery]) -> Vec<CheckResult> {
         if queries.len() < 2 {
             return self.check_each(function, queries);
@@ -396,17 +346,13 @@ impl ModelChecker {
         }
         let prepared = shared.prepared.view();
         let off_shared = |q: &PathQuery| {
-            // Between fallback searches is the last cooperative point before
-            // a potentially long single-query exploration.
-            self.cancel.checkpoint();
             let mut result = self.check_prepared(&prepared, q);
             result.opt_report = shared.opt_report.clone();
             result
         };
         if queries.len() < 2 {
-            // Solo batches answer straight off the cached model: the search
-            // is the single-query arena search over the identical model, so
-            // nothing is shared and nothing needs re-encoding.
+            // Solo batches answer straight off the cached model: a
+            // one-query exploration, with nothing to re-encode.
             return queries.iter().map(off_shared).collect();
         }
         if self.slicing {
@@ -414,7 +360,7 @@ impl ModelChecker {
                 return results;
             }
         }
-        let explored = crate::multiquery::MultiQueryEngine::explore(self, &prepared, queries);
+        let explored = MultiQueryEngine::explore(self, &prepared, queries);
         queries
             .iter()
             .enumerate()
@@ -442,15 +388,24 @@ impl ModelChecker {
     /// disabled.
     ///
     /// Verdicts are preserved by construction (see
-    /// [`crate::opt::slice_for_queries`]); witnesses and step counts are
-    /// produced by a full-model re-search with the slice's relevant inputs
-    /// pinned ([`ModelChecker::check_prepared_pinned`]), and any completion
-    /// that fails to replay feasibly drops that query back to the ordinary
-    /// per-query search — the slice never gets the last word on a witness.
-    /// The one intended divergence: a query whose full-model search would
-    /// exhaust [`ModelChecker::max_transitions`] may settle to a definite
-    /// verdict on the much cheaper slice (the same strengthening the arena
-    /// engine's adaptive dedup has always documented).
+    /// [`crate::opt::slice_for_queries`]).  Witnesses and step counts are
+    /// produced by a one-query full-model search with the slice's relevant
+    /// inputs pinned in its initial state: the search never splits over a
+    /// pinned input, and its unconstrained splits take their lowest
+    /// completing values, exactly as an unpinned search's would.  The
+    /// completed witness usually coincides bit-for-bit with the unpinned
+    /// full-model search's — the exception is a batch whose *dropped*
+    /// statements read a relevant input before the kept code does, which
+    /// shifts the full search's split order and can make it settle on a
+    /// different (equally valid) lex-minimal assignment.  The binding
+    /// contract is therefore the one the slicing equivalence suite pins:
+    /// verdicts are bit-identical, and every witness is a feasible
+    /// full-model witness for its query.  Any completion that fails to
+    /// replay feasibly drops that query back to the ordinary per-query
+    /// search — the slice never gets the last word on a witness.  The one
+    /// intended divergence: a query whose full-model search would exhaust
+    /// [`ModelChecker::max_transitions`] may settle to a definite verdict on
+    /// the much cheaper slice.
     ///
     /// [`check_many_shared`]: ModelChecker::check_many_shared
     fn check_many_sliced(
@@ -492,7 +447,7 @@ impl ModelChecker {
             .map(|(i, v)| (i, v.name.clone()))
             .collect();
 
-        let explored = crate::multiquery::MultiQueryEngine::explore(self, &sliced.view(), queries);
+        let explored = MultiQueryEngine::explore(self, &sliced.view(), queries);
         let results = queries
             .iter()
             .enumerate()
@@ -511,7 +466,7 @@ impl ModelChecker {
                             .collect();
                         let completed = {
                             let _span = tmg_obs::span("checker:witness-completion");
-                            self.check_prepared_pinned(&full, q, &pins)
+                            MultiQueryEngine::check_one(self, &full, q, &pins)
                         };
                         match completed.outcome {
                             CheckOutcome::Feasible { witness, steps } => {
@@ -544,275 +499,10 @@ impl ModelChecker {
             .collect()
     }
 
-    /// Runs the arena search on a [`PreparedModel`], reusing its outgoing
+    /// Runs the search on a [`PreparedModel`], reusing its outgoing
     /// transition index and pre-resolved expressions across queries.
     pub fn check_prepared(&self, prepared: &PreparedModel<'_>, query: &PathQuery) -> CheckResult {
-        self.check_prepared_pinned(prepared, query, &[])
-    }
-
-    /// Like [`check_prepared`](ModelChecker::check_prepared), but with the
-    /// given `(state-vector index, value)` pairs *pinned* in the initial
-    /// state: the search never splits over a pinned variable and every
-    /// witness carries the pinned values.  This is the witness-completion
-    /// oracle of the slicing path: re-searching the full model with a sliced
-    /// witness's relevant inputs pinned yields a witness and step count that
-    /// are genuine full-model search results (the unconstrained splits take
-    /// their lowest completing values, exactly as an unpinned search's
-    /// would).  The completed witness usually coincides bit-for-bit with the
-    /// unpinned full-model search's — the exception is a batch whose
-    /// *dropped* statements read a relevant input before the kept code does,
-    /// which shifts the full search's split order and can make it settle on
-    /// a different (equally valid) lex-minimal assignment.  The binding
-    /// contract is therefore the one the slicing equivalence suite pins:
-    /// verdicts are bit-identical, and every witness is a feasible
-    /// full-model witness for its query.
-    pub(crate) fn check_prepared_pinned(
-        &self,
-        prepared: &PreparedModel<'_>,
-        query: &PathQuery,
-        pins: &[(usize, i64)],
-    ) -> CheckResult {
-        let start = Instant::now();
-        let model = prepared.model;
-        let vars_n = model.vars.len();
-        let words = vars_n.div_ceil(64).max(1);
-
-        let mut stats = CheckStats {
-            state_bits: model.state_bits(),
-            state_bytes: model.state_bytes(),
-            model_transitions: model.transitions.len(),
-            model_vars: model.vars.len(),
-            ..CheckStats::default()
-        };
-
-        let pool = &prepared.program.pool;
-        let mut arena = StateArena::new(vars_n, words);
-        // Initial state.
-        {
-            let mut vals = vec![0i64; vars_n];
-            let mut known = vec![0u64; words];
-            for (i, var) in model.vars.iter().enumerate() {
-                if let Some(init) = var.init {
-                    vals[i] = init;
-                    known[i >> 6] |= 1 << (i & 63);
-                }
-            }
-            for &(idx, value) in pins {
-                if idx < vars_n {
-                    vals[idx] = value;
-                    known[idx >> 6] |= 1 << (idx & 63);
-                }
-            }
-            arena.push(model.initial.index() as u32, 0, 0, &vals, &known);
-        }
-        stats.states_created = 1;
-
-        // Scratch buffers reused across the whole search: the popped state
-        // and the child state under construction.
-        let mut cur_vals = vec![0i64; vars_n];
-        let mut cur_known = vec![0u64; words];
-        let mut child_vals = vec![0i64; vars_n];
-        let mut child_known = vec![0u64; words];
-        let mut enabled: Vec<usize> = Vec::with_capacity(8);
-        let mut effect_cache: Vec<Eval> = Vec::with_capacity(8);
-        let mut effect_offsets: Vec<usize> = Vec::with_capacity(8);
-        let mut visited: FxHashMap<Box<[u64]>, u64> = FxHashMap::default();
-        let mut key_buf: Vec<u64> = Vec::with_capacity(1 + words + vars_n);
-        let mut pops: u64 = 0;
-        let mut dedup_active = true;
-        let mut dedup_lookups: u64 = 0;
-        let mut dedup_hits: u64 = 0;
-
-        let mut outcome = CheckOutcome::Infeasible;
-        'search: while let Some(entry) = arena.pop(&mut cur_vals, &mut cur_known) {
-            if stats.transitions_fired + stats.states_created >= self.max_transitions {
-                outcome = CheckOutcome::Unknown;
-                break 'search;
-            }
-            pops += 1;
-            stats.max_depth = stats.max_depth.max(entry.depth);
-            if entry.monitor as usize == query.decisions.len() {
-                outcome = CheckOutcome::Feasible {
-                    witness: witness_packed(model, &cur_vals, &cur_known),
-                    steps: entry.depth,
-                };
-                stats.witness_steps = Some(entry.depth);
-                break 'search;
-            }
-            if entry.depth >= self.max_depth {
-                continue;
-            }
-            let transitions = &prepared.program.outgoing[entry.loc as usize];
-            if transitions.is_empty() {
-                continue;
-            }
-
-            // Revisit dedup: a state identical in (location, monitor,
-            // valuation) reached again at the same or greater depth explores
-            // a subtree that has already been (or is being) explored with at
-            // least as much depth headroom — skip it.  Engages only once the
-            // search is large enough to amortise the hashing, and disables
-            // itself (dropping the table) when the hit rate shows the state
-            // space is not reconverging — splits over wide input domains
-            // produce millions of unique states that would only burn memory.
-            if dedup_active && pops > self.dedup_after_pops && visited.len() >= VISITED_CAP {
-                // Table full: stop deduplicating and release the memory
-                // instead of carrying the peak allocation through the rest
-                // of the search.
-                dedup_active = false;
-                visited = FxHashMap::default();
-            }
-            if dedup_active && pops > self.dedup_after_pops {
-                dedup_lookups += 1;
-                key_buf.clear();
-                key_buf.push(u64::from(entry.loc) | (u64::from(entry.monitor) << 32));
-                key_buf.extend_from_slice(&cur_known);
-                key_buf.extend(cur_vals.iter().map(|v| *v as u64));
-                match visited.get_mut(key_buf.as_slice()) {
-                    Some(best_depth) => {
-                        if *best_depth <= entry.depth {
-                            dedup_hits += 1;
-                            continue;
-                        }
-                        *best_depth = entry.depth;
-                    }
-                    None => {
-                        visited.insert(key_buf.clone().into_boxed_slice(), entry.depth);
-                    }
-                }
-                if dedup_lookups & 0xFFFF == 0 && dedup_hits * 10 < dedup_lookups {
-                    dedup_active = false;
-                    visited = FxHashMap::default();
-                }
-            }
-
-            // First pass: find out whether deciding the enabled set requires
-            // the value of a still-unknown variable.
-            let mut split_var: Option<usize> = None;
-            enabled.clear();
-            for (i, t) in transitions.iter().enumerate() {
-                match eval_guard(pool, t, &cur_vals, &cur_known) {
-                    Eval::Known(v) => {
-                        if v != 0 {
-                            enabled.push(i);
-                        }
-                    }
-                    Eval::Unknown(var) => {
-                        split_var = Some(var);
-                        break;
-                    }
-                    Eval::Error => {}
-                }
-            }
-            effect_cache.clear();
-            effect_offsets.clear();
-            if split_var.is_none() {
-                // Effects may also read unknown variables; evaluate each
-                // enabled transition's effects once here and cache the
-                // values so the fire loop does not walk the expressions a
-                // second time.
-                'effects: for &i in &enabled {
-                    effect_offsets.push(effect_cache.len());
-                    for &(_, e) in &transitions[i].effect {
-                        let value = eval_packed(pool, e, &cur_vals, &cur_known);
-                        if let Eval::Unknown(var) = value {
-                            split_var = Some(var);
-                            break 'effects;
-                        }
-                        effect_cache.push(value);
-                    }
-                }
-            }
-            if let Some(var) = split_var {
-                // Split lazily: the parent valuation is stored once and the
-                // children are materialised value-by-value as they are
-                // popped, in ascending order (deterministic witnesses with
-                // minimal values), costing O(1) arena space per split.  The
-                // children still count towards the state budget up front,
-                // exactly like the baseline engine's eager pushes.
-                let (lo, hi) = model.vars[var].domain;
-                stats.states_created += model.vars[var].domain_size();
-                arena.push_split(
-                    entry.loc,
-                    entry.monitor,
-                    entry.depth,
-                    &cur_vals,
-                    &cur_known,
-                    var as u32,
-                    lo,
-                    hi,
-                );
-                continue;
-            }
-            // Fire enabled transitions (in reverse so the first is explored
-            // first by the DFS).
-            for pos in (0..enabled.len()).rev() {
-                let t: &PreparedTransition = &transitions[enabled[pos]];
-                if stats.transitions_fired >= self.max_transitions {
-                    outcome = CheckOutcome::Unknown;
-                    break 'search;
-                }
-                // Path monitor.
-                let mut monitor = entry.monitor as usize;
-                if let Some((stmt, choice)) = &t.decision {
-                    if monitor < query.decisions.len() {
-                        let (expected_stmt, expected_choice) = query.decisions[monitor];
-                        if *stmt == expected_stmt {
-                            if *choice == expected_choice {
-                                monitor += 1;
-                            } else {
-                                // Wrong decision at a constrained branch: this
-                                // run can no longer follow the path.
-                                continue;
-                            }
-                        }
-                    }
-                }
-                child_vals.copy_from_slice(&cur_vals);
-                child_known.copy_from_slice(&cur_known);
-                let mut failed = false;
-                let cached = &effect_cache[effect_offsets[pos]..];
-                for (&(target, _), value) in t.effect.iter().zip(cached) {
-                    match *value {
-                        Eval::Known(v) => {
-                            let target = target as usize;
-                            if target >= vars_n {
-                                failed = true;
-                                break;
-                            }
-                            child_vals[target] = model.vars[target].ty.wrap(v);
-                            child_known[target >> 6] |= 1 << (target & 63);
-                        }
-                        // Unknown cannot be cached (it would have split);
-                        // Error skips the transition like the baseline.
-                        Eval::Unknown(_) | Eval::Error => {
-                            failed = true;
-                            break;
-                        }
-                    }
-                }
-                if failed {
-                    continue;
-                }
-                stats.transitions_fired += 1;
-                arena.push(
-                    t.to,
-                    monitor as u32,
-                    entry.depth + 1,
-                    &child_vals,
-                    &child_known,
-                );
-                stats.states_created += 1;
-            }
-        }
-
-        stats.memory_estimate_bytes = stats.states_created * stats.state_bytes;
-        stats.duration = start.elapsed();
-        CheckResult {
-            outcome,
-            stats,
-            opt_report: OptReport::default(),
-        }
+        MultiQueryEngine::check_one(self, prepared, query, &[])
     }
 }
 
@@ -870,348 +560,6 @@ impl SharedCheckModel {
     /// query mentions was in the preserve union the model was verified with).
     pub fn covers(&self, query: &PathQuery) -> bool {
         query.stmts().is_subset(&self.union)
-    }
-}
-
-/// How an arena entry materialises its state.
-#[derive(Debug, Clone, Copy)]
-enum EntryKind {
-    /// The entry owns the top packed block verbatim.
-    Concrete,
-    /// Lazy domain split: the entry owns the top packed block as the *parent*
-    /// valuation and materialises one child per pop, assigning `next` to
-    /// variable `var`, until `next` passes `hi`.
-    Split { var: u32, next: i64, hi: i64 },
-}
-
-/// One entry of the packed state stack.
-#[derive(Debug, Clone, Copy)]
-struct StateEntry {
-    loc: u32,
-    monitor: u32,
-    depth: u64,
-    kind: EntryKind,
-}
-
-/// Popped state metadata.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PoppedState {
-    pub(crate) loc: u32,
-    pub(crate) monitor: u32,
-    pub(crate) depth: u64,
-}
-
-/// One frontier work item extracted from a paused arena: a concrete pending
-/// state, or a pending lazy split (`split = (var, lo, hi)`) whose children
-/// materialise in ascending value order.  The multi-query explorer chunks
-/// these into deterministic shards.
-#[derive(Debug, Clone)]
-pub(crate) struct FrontierEntry {
-    pub(crate) loc: u32,
-    pub(crate) monitor: u32,
-    pub(crate) depth: u64,
-    pub(crate) vals: Vec<i64>,
-    pub(crate) known: Vec<u64>,
-    pub(crate) split: Option<(u32, i64, i64)>,
-}
-
-/// Stack-disciplined arena of packed states: entry metadata in one vector,
-/// values and known-bit masks in parallel flat arrays.  Push appends, pop
-/// copies into caller scratch and truncates — no per-state allocation ever.
-/// Domain splits are stored as a single parent block plus a value cursor, so
-/// splitting over a 16-bit domain costs one block, not 65536.
-#[derive(Debug)]
-pub(crate) struct StateArena {
-    vars: usize,
-    words: usize,
-    entries: Vec<StateEntry>,
-    values: Vec<i64>,
-    known: Vec<u64>,
-}
-
-impl StateArena {
-    pub(crate) fn new(vars: usize, words: usize) -> StateArena {
-        // Pre-size for a few hundred live states; grows amortised afterwards.
-        let prealloc = 256;
-        StateArena {
-            vars,
-            words,
-            entries: Vec::with_capacity(prealloc),
-            values: Vec::with_capacity(prealloc * vars),
-            known: Vec::with_capacity(prealloc * words),
-        }
-    }
-
-    pub(crate) fn push(&mut self, loc: u32, monitor: u32, depth: u64, vals: &[i64], known: &[u64]) {
-        debug_assert_eq!(vals.len(), self.vars);
-        debug_assert_eq!(known.len(), self.words);
-        self.entries.push(StateEntry {
-            loc,
-            monitor,
-            depth,
-            kind: EntryKind::Concrete,
-        });
-        self.values.extend_from_slice(vals);
-        self.known.extend_from_slice(known);
-    }
-
-    /// Pushes a lazy split over `var`'s domain `lo..=hi` of the given parent
-    /// valuation.  Children pop in ascending value order.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn push_split(
-        &mut self,
-        loc: u32,
-        monitor: u32,
-        depth: u64,
-        vals: &[i64],
-        known: &[u64],
-        var: u32,
-        lo: i64,
-        hi: i64,
-    ) {
-        debug_assert!(lo <= hi);
-        self.entries.push(StateEntry {
-            loc,
-            monitor,
-            depth,
-            kind: EntryKind::Split { var, next: lo, hi },
-        });
-        self.values.extend_from_slice(vals);
-        self.known.extend_from_slice(known);
-    }
-
-    /// Remaining width of every pending entry, in pop order units: `1` for a
-    /// concrete entry, the number of unmaterialised children for a split.
-    pub(crate) fn frontier_shape(&self) -> impl Iterator<Item = u64> + '_ {
-        self.entries.iter().map(|e| match e.kind {
-            EntryKind::Concrete => 1,
-            EntryKind::Split { next, hi, .. } => (hi - next + 1).max(1) as u64,
-        })
-    }
-
-    /// Consumes the arena into frontier entries in **pop order** (top of the
-    /// stack first), each owning its packed state block.
-    pub(crate) fn drain_frontier(&mut self) -> Vec<FrontierEntry> {
-        let mut out = Vec::with_capacity(self.entries.len());
-        for (k, entry) in self.entries.iter().enumerate().rev() {
-            let vals = self.values[k * self.vars..(k + 1) * self.vars].to_vec();
-            let known = self.known[k * self.words..(k + 1) * self.words].to_vec();
-            out.push(FrontierEntry {
-                loc: entry.loc,
-                monitor: entry.monitor,
-                depth: entry.depth,
-                vals,
-                known,
-                split: match entry.kind {
-                    EntryKind::Concrete => None,
-                    EntryKind::Split { var, next, hi } => Some((var, next, hi)),
-                },
-            });
-        }
-        self.entries.clear();
-        self.values.clear();
-        self.known.clear();
-        out
-    }
-
-    /// Pushes a frontier entry back onto the stack (shard seeding).
-    pub(crate) fn push_frontier(&mut self, entry: &FrontierEntry) {
-        match entry.split {
-            None => self.push(
-                entry.loc,
-                entry.monitor,
-                entry.depth,
-                &entry.vals,
-                &entry.known,
-            ),
-            Some((var, lo, hi)) => self.push_split(
-                entry.loc,
-                entry.monitor,
-                entry.depth,
-                &entry.vals,
-                &entry.known,
-                var,
-                lo,
-                hi,
-            ),
-        }
-    }
-
-    pub(crate) fn pop(&mut self, vals: &mut [i64], known: &mut [u64]) -> Option<PoppedState> {
-        let entry = self.entries.last_mut()?;
-        let popped = PoppedState {
-            loc: entry.loc,
-            monitor: entry.monitor,
-            depth: entry.depth,
-        };
-        let vbase = self.values.len() - self.vars;
-        let kbase = self.known.len() - self.words;
-        vals.copy_from_slice(&self.values[vbase..]);
-        known.copy_from_slice(&self.known[kbase..]);
-        match &mut entry.kind {
-            EntryKind::Concrete => {
-                self.entries.pop();
-                self.values.truncate(vbase);
-                self.known.truncate(kbase);
-            }
-            EntryKind::Split { var, next, hi } => {
-                let v = *var as usize;
-                vals[v] = *next;
-                known[v >> 6] |= 1 << (v & 63);
-                if *next < *hi {
-                    // More children to come: advance the cursor in place —
-                    // the entry and its parent block stay on the stack, so a
-                    // wide split costs one cursor bump per child, not a
-                    // pop/re-push of the entry.
-                    *next += 1;
-                } else {
-                    // Last child consumed the block.
-                    self.entries.pop();
-                    self.values.truncate(vbase);
-                    self.known.truncate(kbase);
-                }
-            }
-        }
-        Some(popped)
-    }
-}
-
-pub(crate) fn witness_packed(model: &Model, vals: &[i64], known: &[u64]) -> InputVector {
-    let mut witness = InputVector::new();
-    for (idx, var) in model.vars.iter().enumerate() {
-        if var.role == VarRole::Input {
-            let value = if known[idx >> 6] & (1 << (idx & 63)) != 0 {
-                vals[idx]
-            } else {
-                var.domain.0.max(0).min(var.domain.1)
-            };
-            witness.set(var.name.clone(), value);
-        }
-    }
-    witness
-}
-
-#[derive(Clone, Copy)]
-pub(crate) enum Eval {
-    Known(i64),
-    Unknown(usize),
-    Error,
-}
-
-/// Evaluates a transition's guard over a packed state, taking the
-/// specialised [`FastGuard`] path for the common single-comparison shapes
-/// and falling back to the pool walk otherwise.  Semantics are identical to
-/// evaluating the pre-resolved guard expression (comparisons cannot fault).
-#[inline]
-pub(crate) fn eval_guard(
-    pool: &ExprPool,
-    t: &PreparedTransition,
-    vals: &[i64],
-    known: &[u64],
-) -> Eval {
-    match t.fast_guard {
-        FastGuard::Always => Eval::Known(1),
-        FastGuard::Cmp {
-            var,
-            op,
-            rhs,
-            negate,
-        } => {
-            let v = var as usize;
-            if known[v >> 6] & (1 << (v & 63)) != 0 {
-                let holds = match eval_op(op, vals[v], rhs) {
-                    Ok(r) => r != 0,
-                    Err(()) => unreachable!("comparisons cannot fault"),
-                };
-                Eval::Known(i64::from(holds != negate))
-            } else {
-                Eval::Unknown(v)
-            }
-        }
-        FastGuard::Node(g) => eval_packed(pool, g, vals, known),
-    }
-}
-
-/// Evaluates the shared arithmetic of both engines.
-fn eval_op(op: BinOp, l: i64, r: i64) -> Result<i64, ()> {
-    Ok(match op {
-        BinOp::Add => l.wrapping_add(r),
-        BinOp::Sub => l.wrapping_sub(r),
-        BinOp::Mul => l.wrapping_mul(r),
-        BinOp::Div => {
-            if r == 0 {
-                return Err(());
-            }
-            l.wrapping_div(r)
-        }
-        BinOp::Mod => {
-            if r == 0 {
-                return Err(());
-            }
-            l.wrapping_rem(r)
-        }
-        BinOp::Lt => i64::from(l < r),
-        BinOp::Le => i64::from(l <= r),
-        BinOp::Gt => i64::from(l > r),
-        BinOp::Ge => i64::from(l >= r),
-        BinOp::Eq => i64::from(l == r),
-        BinOp::Ne => i64::from(l != r),
-        BinOp::And => i64::from(l != 0 && r != 0),
-        BinOp::Or => i64::from(l != 0 || r != 0),
-        BinOp::BitAnd => l & r,
-        BinOp::BitOr => l | r,
-        BinOp::BitXor => l ^ r,
-        BinOp::Shl => l.wrapping_shl((r & 63) as u32),
-        BinOp::Shr => l.wrapping_shr((r & 63) as u32),
-    })
-}
-
-fn eval_unop(op: UnOp, v: i64) -> i64 {
-    match op {
-        UnOp::Neg => v.wrapping_neg(),
-        UnOp::Not => i64::from(v == 0),
-        UnOp::BitNot => !v,
-    }
-}
-
-/// Partial evaluation of a pool-flattened expression over a packed state.
-pub(crate) fn eval_packed(pool: &ExprPool, id: NodeId, vals: &[i64], known: &[u64]) -> Eval {
-    match pool.node(id) {
-        INode::Int(v) => Eval::Known(v),
-        INode::Var(idx) => {
-            let idx = idx as usize;
-            if known[idx >> 6] & (1 << (idx & 63)) != 0 {
-                Eval::Known(vals[idx])
-            } else {
-                Eval::Unknown(idx)
-            }
-        }
-        INode::UnknownVar => Eval::Error,
-        INode::Unary { op, operand } => match eval_packed(pool, operand, vals, known) {
-            Eval::Known(v) => Eval::Known(eval_unop(op, v)),
-            other => other,
-        },
-        INode::Binary { op, lhs, rhs } => {
-            let l = match eval_packed(pool, lhs, vals, known) {
-                Eval::Known(v) => v,
-                other => return other,
-            };
-            // Short-circuit.
-            if op == BinOp::And && l == 0 {
-                return Eval::Known(0);
-            }
-            if op == BinOp::Or && l != 0 {
-                return Eval::Known(1);
-            }
-            let r = match eval_packed(pool, rhs, vals, known) {
-                Eval::Known(v) => v,
-                other => return other,
-            };
-            match eval_op(op, l, r) {
-                Ok(v) => Eval::Known(v),
-                Err(()) => Eval::Error,
-            }
-        }
     }
 }
 
@@ -1478,11 +826,6 @@ mod tests {
     }
 
     #[test]
-    fn arena_engine_is_the_default() {
-        assert_eq!(ModelChecker::new().engine, SearchEngine::Arena);
-    }
-
-    #[test]
     fn shared_model_batches_agree_with_check_many_and_per_query() {
         // The shared model is prepared once with the union of *every* branch
         // statement (as the pipeline caches it), then answers batches whose
@@ -1531,34 +874,5 @@ mod tests {
             assert_eq!(s.outcome, m.outcome);
         }
         assert!(!shared.model().transitions.is_empty());
-    }
-
-    #[test]
-    fn dedup_preserves_verdicts_and_witnesses() {
-        // Reconvergent control flow (branches that do not touch state) is
-        // where revisit dedup prunes; forcing it on from the first pop must
-        // not change any verdict or witness relative to a search whose dedup
-        // never engages.
-        let src = r#"
-            void f(char a __range(0, 6), char b __range(0, 6)) {
-                if (a > 1) { p1(); } else { p2(); }
-                if (a > 3) { p3(); } else { p4(); }
-                if (b == 5) { p5(); }
-            }
-        "#;
-        let (f, paths) = paths_of(src);
-        assert!(paths.len() >= 8);
-        for path in &paths {
-            let query = PathQuery::new(path.decisions.clone());
-            let mut eager = ModelChecker::new();
-            eager.dedup_after_pops = 0;
-            let deduped = eager.find_test_data(&f, &query);
-            let mut lazy = ModelChecker::new();
-            lazy.dedup_after_pops = u64::MAX;
-            let undeduped = lazy.find_test_data(&f, &query);
-            assert_eq!(deduped.outcome, undeduped.outcome, "path {path}");
-            // Pruning must never expand more states than the undeduped run.
-            assert!(deduped.stats.states_created <= undeduped.stats.states_created);
-        }
     }
 }

@@ -20,15 +20,16 @@
 //! * [`opt`] — the six optimisations of Section 3.2 (reverse CSE,
 //!   live-variable analysis, statement concatenation, variable range
 //!   analysis, variable initialisation, dead variable & code elimination);
-//! * [`checker`] — an explicit-state reachability checker that lazily splits
-//!   on unknown variable reads, returns witness input vectors (test data) or
-//!   an infeasibility verdict, and reports the cost statistics reproduced in
-//!   Table 2;
-//! * [`multiquery`] — a multi-query reachability engine that explores one
-//!   function's state space once and answers a whole batch of path queries
-//!   from the shared, decision-signature-annotated graph
-//!   ([`ModelChecker::check_many`]), with results bit-identical to the
-//!   per-query engines.  Since PR 5 the batch path runs a two-stage
+//! * [`checker`] — the interface of an explicit-state reachability checker
+//!   that lazily splits on unknown variable reads, returns witness input
+//!   vectors (test data) or an infeasibility verdict, and reports the cost
+//!   statistics reproduced in Table 2;
+//! * [`multiquery`] — the checker's one search: a multi-query reachability
+//!   engine that explores one function's state space once and answers a
+//!   whole batch of path queries from the shared,
+//!   decision-signature-annotated graph ([`ModelChecker::check_many`]), with
+//!   results bit-identical to asking each query alone (a single query is a
+//!   one-query exploration).  The batch path runs a two-stage
 //!   *slice→shard* pipeline: the model is first reduced to the
 //!   cone of influence of the queried decisions
 //!   ([`opt::slice_for_queries`], fed by `tmg_cfg`'s def/use dependence
@@ -70,7 +71,7 @@ pub mod prepared;
 
 pub use cancel::{catch_cancel, CancelToken, Cancelled};
 pub use checker::{
-    CheckOutcome, CheckResult, CheckStats, ModelChecker, PathQuery, SearchEngine, SharedCheckModel,
+    CheckOutcome, CheckResult, CheckStats, ModelChecker, PathQuery, SharedCheckModel,
 };
 pub use encode::{encode_function, EncodeOptions};
 pub use metrics::CheckerMetrics;
@@ -78,3 +79,11 @@ pub use model::{LocId, Model, StateVar, Transition, VarRole};
 pub use multiquery::MultiQueryEngine;
 pub use opt::{apply_optimisations, slice_for_queries, OptReport, Optimisations, SliceReport};
 pub use prepared::{OwnedPreparedModel, PreparedModel};
+
+// The test-only reference explorer is shared with the integration tests,
+// which name this library by its crate name; unit tests name it the same.
+#[cfg(test)]
+extern crate self as tmg_tsys;
+#[cfg(test)]
+#[path = "../tests/reference/mod.rs"]
+mod reference;

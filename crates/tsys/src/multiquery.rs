@@ -1,4 +1,4 @@
-//! Multi-query reachability: explore the state space once, answer every
+//! The model checker's explorer: explore the state space once, answer every
 //! coverage query from the shared annotated graph — in parallel.
 //!
 //! The test-generation phase asks the model checker dozens of near-identical
@@ -7,7 +7,8 @@
 //! of the same transition system over and over; the only thing that differs
 //! between queries is the path monitor riding along.  The
 //! [`MultiQueryEngine`] runs the exploration once and lets every monitor ride
-//! the same traversal.
+//! the same traversal.  It is the checker's only search: a single query is
+//! a one-query exploration (see *One query* below).
 //!
 //! # Decision signatures
 //!
@@ -30,9 +31,9 @@
 //!
 //! # Seed, then shards
 //!
-//! The traversal is the same packed-arena DFS as the single-query engine
-//! (same split order, same depth budget).  Small explorations run it
-//! sequentially to the end, exactly as before.  A large exploration runs a
+//! The traversal is a packed-arena DFS: lazy domain splits in ascending
+//! value order, enabled transitions in model order, a depth budget.  Small
+//! explorations run it sequentially to the end.  A large exploration runs a
 //! sequential **seed phase** up to a fixed op budget ([`SHARD_SEED_OPS`] —
 //! thread-count-independent, so the cut is deterministic), then snapshots
 //! the DFS frontier into an ordered list of **shards**: each arena entry
@@ -57,7 +58,7 @@
 //!
 //! # Per-query budget accounting
 //!
-//! The single-query engine charges each search two kinds of ops — states
+//! A search for one query on its own charges two kinds of ops — states
 //! created and transitions fired — against
 //! [`ModelChecker::max_transitions`], and reports
 //! [`CheckOutcome::Unknown`](crate::CheckOutcome::Unknown) when the budget
@@ -65,40 +66,52 @@
 //! without per-query work: every op is charged to the signature it occurs
 //! under (pushes and splits to the state's signature, fires to the
 //! post-decision signature — a transition whose decision kills query `q` is
-//! exactly the transition the single-query search prunes before counting),
-//! and query `q`'s counter is the sum over signatures in which `q` is not
-//! dead.  Because shards partition the sequential traversal, the counter at
-//! `q`'s winning completion is the seed's contribution plus every earlier
-//! shard's plus the winning shard's count at the pop — the exact value the
+//! exactly the transition `q`'s own search prunes before counting), and
+//! query `q`'s counter is the sum over signatures in which `q` is not dead.
+//! Because shards partition the sequential traversal, the counter at `q`'s
+//! winning completion is the seed's contribution plus every earlier shard's
+//! plus the winning shard's count at the pop — the exact value the
 //! sequential search would have seen.  A query whose counter reaches the
 //! budget before its first completion is a **certified Unknown**, a
 //! completion under budget is Feasible, a drained frontier under budget is
 //! Infeasible; whatever the shared run cannot settle within its own cap
-//! ([`SHARED_BUDGET_FACTOR`] per-query budgets) falls back to per-query
-//! search.
+//! ([`SHARED_BUDGET_FACTOR`] per-query budgets) is asked again on its own.
+//!
+//! # One query
+//!
+//! A batch of one is the checker's single-query search
+//! ([`ModelChecker::find_test_data`], solo batches, budget fallbacks and the
+//! slicing path's pinned witness completion).
+//! Its shared op cap is exactly its budget, and every op the traversal pays
+//! is charged to its one query (a state in which the query is dead is never
+//! pushed), so the attributed counter *is* the run's op count: the run
+//! either completes the query, drains, or trips its cap with the counter at
+//! the budget.  A one-query exploration therefore always settles, and
+//! nothing falls back from it.  The test-only reference explorer
+//! (`tests/reference/mod.rs`: eager splits, no arena, lattice, shards or
+//! dedup) pins this accounting op for op.
 //!
 //! The traversal runs without revisit dedup in the seed and engages the
 //! striped [`ShardedVisited`] table only when a single shard's sub-DFS grows
-//! past [`SHARD_DEDUP_AFTER_POPS`] pops: dedup skips work the single-query
-//! engines would count, which would silently undercount the per-query budget
-//! attribution, so it stays a blow-up safety valve (with the same caveat the
-//! arena engine's adaptive dedup has always documented) rather than a
-//! routine pruning step.  Skips consult only entries the same shard wrote,
-//! which keeps resolutions deterministic; the striping exists to bound the
-//! table's total memory across shards and to expose contention counters.
+//! past [`SHARD_DEDUP_AFTER_POPS`] pops: dedup skips work an undeduped
+//! search would count, which would silently undercount the per-query budget
+//! attribution, so it stays a blow-up safety valve rather than a routine
+//! pruning step — past it, a budget-limited query may settle where an
+//! undeduped search reports Unknown.  Skips consult only entries the same
+//! shard wrote, which keeps resolutions deterministic; the striping exists
+//! to bound the table's total memory across shards and to expose contention
+//! counters.
 
-use crate::checker::{
-    eval_guard, eval_packed, witness_packed, CheckOutcome, CheckResult, CheckStats, Eval,
-    FrontierEntry, ModelChecker, PathQuery, StateArena,
-};
+use crate::checker::{CheckOutcome, CheckResult, CheckStats, ModelChecker, PathQuery};
 use crate::metrics;
-use crate::prepared::{PreparedModel, PreparedTransition};
+use crate::model::{Model, VarRole};
+use crate::prepared::{ExprPool, FastGuard, INode, NodeId, PreparedModel, PreparedTransition};
 use rustc_hash::FxHashMap;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
-use tmg_minic::ast::StmtId;
+use tmg_minic::ast::{BinOp, StmtId, UnOp};
 use tmg_minic::value::InputVector;
 
 /// Monitor value marking a query that can no longer be completed on this
@@ -224,7 +237,7 @@ impl SigLattice {
     /// Whether `sig` still matters to any query alive in this run,
     /// recomputing the cached answer when resolutions have advanced since it
     /// was last checked.  A signature in which every alive query is dead
-    /// heads a subtree that no single-query search would explore (each of
+    /// heads a subtree that no alive query's own search would explore (each of
     /// them pruned it at or before the killing decision), so the traversal
     /// prunes it too — the op attribution of alive queries is untouched by
     /// construction.
@@ -665,9 +678,9 @@ fn run_exploration(
         out.max_depth = out.max_depth.max(entry.depth);
         let sig = entry.monitor;
         // Membership scan: does this state's signature complete a query that
-        // is still alive?  Pops happen in the exact DFS order of the
-        // single-query search, so the first hit per query within the
-        // seed-then-shard order *is* the single-query witness state.
+        // is still alive?  Pops happen in the exact DFS order of each query's
+        // own search, so the first hit per query within the seed-then-shard
+        // order *is* that search's witness state.
         if lattice.pending[sig as usize] {
             for i in 0..lattice.completes[sig as usize].len() {
                 let q = lattice.completes[sig as usize][i] as usize;
@@ -694,8 +707,8 @@ fn run_exploration(
             }
         }
         if !lattice.is_live(sig, alive, epoch) {
-            // Every alive query is dead here: no single-query search would
-            // expand this state.
+            // Every alive query is dead here: no alive query's own search
+            // would expand this state.
             continue;
         }
         if entry.depth >= ctx.max_depth {
@@ -708,10 +721,10 @@ fn run_exploration(
 
         // Blow-up safety valve: once a single run's sub-DFS is past the
         // engagement threshold, consult the sharded visited table (own-shard
-        // entries only — see the struct docs).  Like the single-query
-        // engine's adaptive dedup, it switches itself off when the hit rate
-        // shows the state space is not reconverging — wide-domain splits
-        // produce millions of unique states that would only burn memory.
+        // entries only — see the struct docs).  It switches itself off when
+        // the hit rate shows the state space is not reconverging —
+        // wide-domain splits produce millions of unique states that would
+        // only burn memory.
         if let Some((visited, tag)) = ctx.visited {
             if dedup_enabled && out.pops > SHARD_DEDUP_AFTER_POPS {
                 dedup_checks += 1;
@@ -739,8 +752,8 @@ fn run_exploration(
             }
         }
 
-        // Enabled-set computation and lazy splitting, identical to the
-        // single-query engine.
+        // First pass: find out whether deciding the enabled set requires
+        // the value of a still-unknown variable.
         let mut split_var: Option<usize> = None;
         enabled.clear();
         for (i, t) in transitions.iter().enumerate() {
@@ -760,6 +773,9 @@ fn run_exploration(
         effect_cache.clear();
         effect_offsets.clear();
         if split_var.is_none() {
+            // Effects may also read unknown variables; evaluate each enabled
+            // transition's effects once here and cache the values so the
+            // fire loop does not walk the expressions a second time.
             'effects: for &i in &enabled {
                 effect_offsets.push(effect_cache.len());
                 for &(_, e) in &transitions[i].effect {
@@ -773,6 +789,11 @@ fn run_exploration(
             }
         }
         if let Some(var) = split_var {
+            // Split lazily: the parent valuation is stored once and the
+            // children are materialised value by value as they are popped,
+            // in ascending order (deterministic witnesses with minimal
+            // values), costing O(1) arena space per split.  The children
+            // count towards the budget up front, as eager pushes would.
             let (lo, hi) = model.vars[var].domain;
             out.states_created += model.vars[var].domain_size();
             lattice.ops[sig as usize] += model.vars[var].domain_size();
@@ -789,12 +810,11 @@ fn run_exploration(
             continue;
         }
         // Fire enabled transitions (in reverse so the first is explored
-        // first by the DFS).  Unlike the single-query monitor there is no
-        // pruning: a wrong decision only kills the affected monitors inside
-        // the signature — the run stays interesting to the other queries,
-        // and the fire/push ops are charged to the post-decision signature,
-        // which is exactly the set of queries whose own search would have
-        // paid for them.
+        // first by the DFS).  A wrong decision only kills the affected
+        // monitors inside the signature — the run stays interesting to the
+        // other queries, and the fire/push ops are charged to the
+        // post-decision signature, which is exactly the set of queries whose
+        // own search would have paid for them.
         for pos in (0..enabled.len()).rev() {
             let t: &PreparedTransition = &transitions[enabled[pos]];
             let dense = ctx.relevant_dense[t.index as usize];
@@ -805,7 +825,7 @@ fn run_exploration(
             };
             if sig_next != sig && !lattice.is_live(sig_next, alive, epoch) {
                 // The decision just killed the last alive query that was
-                // still matchable on this run: every single-query search
+                // still matchable on this run: every alive query's own search
                 // prunes this transition (at this decision or an earlier
                 // one), so the shared traversal does too, and no alive
                 // query's op counter is owed anything for it.
@@ -936,30 +956,38 @@ fn build_shards(frontier: Vec<FrontierEntry>) -> Vec<Shard> {
 /// available parallelism.  Thread count never changes results — only
 /// wall-clock time.
 fn default_explore_threads() -> usize {
-    // Inside a rayon worker (testgen's residual fan-out, the service's
-    // analyse_all) the cores are already owned by the outer parallelism:
-    // spawning a full complement of scoped workers per task would
-    // oversubscribe quadratically, so nested explorations stay sequential —
-    // mirroring the vendored rayon shim's own nested-collect rule.
+    // Inside a rayon worker (`analyse_all`'s per-function fan-out, as the
+    // service runs it) the cores are already owned by the outer
+    // parallelism: spawning a full complement of scoped workers per task
+    // would oversubscribe quadratically, so nested explorations stay
+    // sequential — mirroring the vendored rayon shim's own nested-collect
+    // rule.  Checked per call: the same process explores from both kinds of
+    // thread.
     if std::thread::current()
         .name()
         .is_some_and(|name| name.starts_with("rayon-shim-"))
     {
         return 1;
     }
-    for var in ["TMG_EXPLORE_THREADS", "RAYON_NUM_THREADS"] {
-        if let Some(n) = std::env::var(var)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            if n >= 1 {
-                return n;
+    // Everything else is fixed for the process: resolve it once, since
+    // `available_parallelism` reads cgroup files on every call and every
+    // single query is an exploration of its own.
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        for var in ["TMG_EXPLORE_THREADS", "RAYON_NUM_THREADS"] {
+            if let Some(n) = std::env::var(var)
+                .ok()
+                .and_then(|v| v.trim().parse::<usize>().ok())
+            {
+                if n >= 1 {
+                    return n;
+                }
             }
         }
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// The annotated result of one shared exploration, ready to answer any of
@@ -999,6 +1027,44 @@ impl MultiQueryEngine {
         queries: &[PathQuery],
         threads: usize,
     ) -> MultiQueryEngine {
+        Self::explore_pinned(checker, prepared, queries, &[], threads)
+    }
+
+    /// Answers one query with a one-query exploration on the machine's
+    /// default worker count — the search behind every single-query entry
+    /// point of [`ModelChecker`].  Always settles (see the module docs), so
+    /// it returns the result directly.
+    pub(crate) fn check_one(
+        checker: &ModelChecker,
+        prepared: &PreparedModel<'_>,
+        query: &PathQuery,
+        pins: &[(usize, i64)],
+    ) -> CheckResult {
+        let explored = Self::explore_pinned(
+            checker,
+            prepared,
+            std::slice::from_ref(query),
+            pins,
+            default_explore_threads(),
+        );
+        explored
+            .result(0)
+            .expect("a one-query exploration settles: its op cap is its budget")
+    }
+
+    /// Like [`explore_with_threads`](MultiQueryEngine::explore_with_threads),
+    /// with the given `(state-vector index, value)` pairs *pinned* in the
+    /// initial state: the search never splits over a pinned variable and
+    /// every witness carries the pinned values.  This is the
+    /// witness-completion oracle of the slicing path (see
+    /// [`ModelChecker::check_many_shared`]).
+    pub(crate) fn explore_pinned(
+        checker: &ModelChecker,
+        prepared: &PreparedModel<'_>,
+        queries: &[PathQuery],
+        pins: &[(usize, i64)],
+        threads: usize,
+    ) -> MultiQueryEngine {
         checker.cancel.checkpoint();
         let start = Instant::now();
         let model = prepared.model;
@@ -1034,6 +1100,9 @@ impl MultiQueryEngine {
         }
 
         let query_budget = checker.max_transitions;
+        // A batch of one gets exactly its budget: the run then trips only
+        // once its query is spent, which is what makes solo explorations
+        // always settle (see "One query" in the module docs).
         let op_cap =
             query_budget.saturating_mul(SHARED_BUDGET_FACTOR.min(queries.len().max(1) as u64));
         let zeros = vec![0u64; queries.len()];
@@ -1068,6 +1137,10 @@ impl MultiQueryEngine {
                     vals[i] = init;
                     known[i >> 6] |= 1 << (i & 63);
                 }
+            }
+            for &(i, value) in pins.iter().filter(|&&(i, _)| i < vars_n) {
+                vals[i] = value;
+                known[i >> 6] |= 1 << (i & 63);
             }
             arena.push(model.initial.index() as u32, 0, 0, &vals, &known);
         }
@@ -1501,11 +1574,349 @@ struct PrefixState {
     open: usize,
 }
 
+/// How an arena entry materialises its state.
+#[derive(Debug, Clone, Copy)]
+enum EntryKind {
+    /// The entry owns the top packed block verbatim.
+    Concrete,
+    /// Lazy domain split: the entry owns the top packed block as the *parent*
+    /// valuation and materialises one child per pop, assigning `next` to
+    /// variable `var`, until `next` passes `hi`.
+    Split { var: u32, next: i64, hi: i64 },
+}
+
+/// One entry of the packed state stack.
+#[derive(Debug, Clone, Copy)]
+struct StateEntry {
+    loc: u32,
+    monitor: u32,
+    depth: u64,
+    kind: EntryKind,
+}
+
+/// Popped state metadata.
+#[derive(Debug, Clone, Copy)]
+struct PoppedState {
+    loc: u32,
+    monitor: u32,
+    depth: u64,
+}
+
+/// One frontier work item extracted from a paused arena: a concrete pending
+/// state, or a pending lazy split (`split = (var, lo, hi)`) whose children
+/// materialise in ascending value order.  The multi-query explorer chunks
+/// these into deterministic shards.
+#[derive(Debug, Clone)]
+struct FrontierEntry {
+    loc: u32,
+    monitor: u32,
+    depth: u64,
+    vals: Vec<i64>,
+    known: Vec<u64>,
+    split: Option<(u32, i64, i64)>,
+}
+
+/// Stack-disciplined arena of packed states: entry metadata in one vector,
+/// values and known-bit masks in parallel flat arrays.  Push appends, pop
+/// copies into caller scratch and truncates — no per-state allocation ever.
+/// Domain splits are stored as a single parent block plus a value cursor, so
+/// splitting over a 16-bit domain costs one block, not 65536.
+#[derive(Debug)]
+struct StateArena {
+    vars: usize,
+    words: usize,
+    entries: Vec<StateEntry>,
+    values: Vec<i64>,
+    known: Vec<u64>,
+}
+
+impl StateArena {
+    fn new(vars: usize, words: usize) -> StateArena {
+        // Pre-size for a few hundred live states; grows amortised afterwards.
+        let prealloc = 256;
+        StateArena {
+            vars,
+            words,
+            entries: Vec::with_capacity(prealloc),
+            values: Vec::with_capacity(prealloc * vars),
+            known: Vec::with_capacity(prealloc * words),
+        }
+    }
+
+    fn push(&mut self, loc: u32, monitor: u32, depth: u64, vals: &[i64], known: &[u64]) {
+        debug_assert_eq!(vals.len(), self.vars);
+        debug_assert_eq!(known.len(), self.words);
+        self.entries.push(StateEntry {
+            loc,
+            monitor,
+            depth,
+            kind: EntryKind::Concrete,
+        });
+        self.values.extend_from_slice(vals);
+        self.known.extend_from_slice(known);
+    }
+
+    /// Pushes a lazy split over `var`'s domain `lo..=hi` of the given parent
+    /// valuation.  Children pop in ascending value order.
+    #[allow(clippy::too_many_arguments)]
+    fn push_split(
+        &mut self,
+        loc: u32,
+        monitor: u32,
+        depth: u64,
+        vals: &[i64],
+        known: &[u64],
+        var: u32,
+        lo: i64,
+        hi: i64,
+    ) {
+        debug_assert!(lo <= hi);
+        self.entries.push(StateEntry {
+            loc,
+            monitor,
+            depth,
+            kind: EntryKind::Split { var, next: lo, hi },
+        });
+        self.values.extend_from_slice(vals);
+        self.known.extend_from_slice(known);
+    }
+
+    /// Remaining width of every pending entry, in pop order units: `1` for a
+    /// concrete entry, the number of unmaterialised children for a split.
+    fn frontier_shape(&self) -> impl Iterator<Item = u64> + '_ {
+        self.entries.iter().map(|e| match e.kind {
+            EntryKind::Concrete => 1,
+            EntryKind::Split { next, hi, .. } => (hi - next + 1).max(1) as u64,
+        })
+    }
+
+    /// Consumes the arena into frontier entries in **pop order** (top of the
+    /// stack first), each owning its packed state block.
+    fn drain_frontier(&mut self) -> Vec<FrontierEntry> {
+        let mut out = Vec::with_capacity(self.entries.len());
+        for (k, entry) in self.entries.iter().enumerate().rev() {
+            let vals = self.values[k * self.vars..(k + 1) * self.vars].to_vec();
+            let known = self.known[k * self.words..(k + 1) * self.words].to_vec();
+            out.push(FrontierEntry {
+                loc: entry.loc,
+                monitor: entry.monitor,
+                depth: entry.depth,
+                vals,
+                known,
+                split: match entry.kind {
+                    EntryKind::Concrete => None,
+                    EntryKind::Split { var, next, hi } => Some((var, next, hi)),
+                },
+            });
+        }
+        self.entries.clear();
+        self.values.clear();
+        self.known.clear();
+        out
+    }
+
+    /// Pushes a frontier entry back onto the stack (shard seeding).
+    fn push_frontier(&mut self, entry: &FrontierEntry) {
+        match entry.split {
+            None => self.push(
+                entry.loc,
+                entry.monitor,
+                entry.depth,
+                &entry.vals,
+                &entry.known,
+            ),
+            Some((var, lo, hi)) => self.push_split(
+                entry.loc,
+                entry.monitor,
+                entry.depth,
+                &entry.vals,
+                &entry.known,
+                var,
+                lo,
+                hi,
+            ),
+        }
+    }
+
+    fn pop(&mut self, vals: &mut [i64], known: &mut [u64]) -> Option<PoppedState> {
+        let entry = self.entries.last_mut()?;
+        let popped = PoppedState {
+            loc: entry.loc,
+            monitor: entry.monitor,
+            depth: entry.depth,
+        };
+        let vbase = self.values.len() - self.vars;
+        let kbase = self.known.len() - self.words;
+        vals.copy_from_slice(&self.values[vbase..]);
+        known.copy_from_slice(&self.known[kbase..]);
+        match &mut entry.kind {
+            EntryKind::Concrete => {
+                self.entries.pop();
+                self.values.truncate(vbase);
+                self.known.truncate(kbase);
+            }
+            EntryKind::Split { var, next, hi } => {
+                let v = *var as usize;
+                vals[v] = *next;
+                known[v >> 6] |= 1 << (v & 63);
+                if *next < *hi {
+                    // More children to come: advance the cursor in place —
+                    // the entry and its parent block stay on the stack, so a
+                    // wide split costs one cursor bump per child, not a
+                    // pop/re-push of the entry.
+                    *next += 1;
+                } else {
+                    // Last child consumed the block.
+                    self.entries.pop();
+                    self.values.truncate(vbase);
+                    self.known.truncate(kbase);
+                }
+            }
+        }
+        Some(popped)
+    }
+}
+
+fn witness_packed(model: &Model, vals: &[i64], known: &[u64]) -> InputVector {
+    let mut witness = InputVector::new();
+    for (idx, var) in model.vars.iter().enumerate() {
+        if var.role == VarRole::Input {
+            let value = if known[idx >> 6] & (1 << (idx & 63)) != 0 {
+                vals[idx]
+            } else {
+                var.domain.0.max(0).min(var.domain.1)
+            };
+            witness.set(var.name.clone(), value);
+        }
+    }
+    witness
+}
+
+#[derive(Clone, Copy)]
+enum Eval {
+    Known(i64),
+    Unknown(usize),
+    Error,
+}
+
+/// Evaluates a transition's guard over a packed state, taking the
+/// specialised [`FastGuard`] path for the common single-comparison shapes
+/// and falling back to the pool walk otherwise.  Semantics are identical to
+/// evaluating the pre-resolved guard expression (comparisons cannot fault).
+#[inline]
+fn eval_guard(pool: &ExprPool, t: &PreparedTransition, vals: &[i64], known: &[u64]) -> Eval {
+    match t.fast_guard {
+        FastGuard::Always => Eval::Known(1),
+        FastGuard::Cmp {
+            var,
+            op,
+            rhs,
+            negate,
+        } => {
+            let v = var as usize;
+            if known[v >> 6] & (1 << (v & 63)) != 0 {
+                let holds = match eval_op(op, vals[v], rhs) {
+                    Ok(r) => r != 0,
+                    Err(()) => unreachable!("comparisons cannot fault"),
+                };
+                Eval::Known(i64::from(holds != negate))
+            } else {
+                Eval::Unknown(v)
+            }
+        }
+        FastGuard::Node(g) => eval_packed(pool, g, vals, known),
+    }
+}
+
+/// Evaluates the shared arithmetic of both engines.
+fn eval_op(op: BinOp, l: i64, r: i64) -> Result<i64, ()> {
+    Ok(match op {
+        BinOp::Add => l.wrapping_add(r),
+        BinOp::Sub => l.wrapping_sub(r),
+        BinOp::Mul => l.wrapping_mul(r),
+        BinOp::Div => {
+            if r == 0 {
+                return Err(());
+            }
+            l.wrapping_div(r)
+        }
+        BinOp::Mod => {
+            if r == 0 {
+                return Err(());
+            }
+            l.wrapping_rem(r)
+        }
+        BinOp::Lt => i64::from(l < r),
+        BinOp::Le => i64::from(l <= r),
+        BinOp::Gt => i64::from(l > r),
+        BinOp::Ge => i64::from(l >= r),
+        BinOp::Eq => i64::from(l == r),
+        BinOp::Ne => i64::from(l != r),
+        BinOp::And => i64::from(l != 0 && r != 0),
+        BinOp::Or => i64::from(l != 0 || r != 0),
+        BinOp::BitAnd => l & r,
+        BinOp::BitOr => l | r,
+        BinOp::BitXor => l ^ r,
+        BinOp::Shl => l.wrapping_shl((r & 63) as u32),
+        BinOp::Shr => l.wrapping_shr((r & 63) as u32),
+    })
+}
+
+fn eval_unop(op: UnOp, v: i64) -> i64 {
+    match op {
+        UnOp::Neg => v.wrapping_neg(),
+        UnOp::Not => i64::from(v == 0),
+        UnOp::BitNot => !v,
+    }
+}
+
+/// Partial evaluation of a pool-flattened expression over a packed state.
+fn eval_packed(pool: &ExprPool, id: NodeId, vals: &[i64], known: &[u64]) -> Eval {
+    match pool.node(id) {
+        INode::Int(v) => Eval::Known(v),
+        INode::Var(idx) => {
+            let idx = idx as usize;
+            if known[idx >> 6] & (1 << (idx & 63)) != 0 {
+                Eval::Known(vals[idx])
+            } else {
+                Eval::Unknown(idx)
+            }
+        }
+        INode::UnknownVar => Eval::Error,
+        INode::Unary { op, operand } => match eval_packed(pool, operand, vals, known) {
+            Eval::Known(v) => Eval::Known(eval_unop(op, v)),
+            other => other,
+        },
+        INode::Binary { op, lhs, rhs } => {
+            let l = match eval_packed(pool, lhs, vals, known) {
+                Eval::Known(v) => v,
+                other => return other,
+            };
+            // Short-circuit.
+            if op == BinOp::And && l == 0 {
+                return Eval::Known(0);
+            }
+            if op == BinOp::Or && l != 0 {
+                return Eval::Known(1);
+            }
+            let r = match eval_packed(pool, rhs, vals, known) {
+                Eval::Known(v) => v,
+                other => return other,
+            };
+            match eval_op(op, l, r) {
+                Ok(v) => Eval::Known(v),
+                Err(()) => Eval::Error,
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::encode::encode_function;
     use crate::opt::Optimisations;
+    use crate::reference::{reference_check, reference_find};
     use tmg_cfg::{build_cfg, enumerate_region_paths};
     use tmg_minic::parse_function;
 
@@ -1527,11 +1938,12 @@ mod tests {
         let batched = checker.check_many(&f, &queries);
         assert_eq!(batched.len(), queries.len());
         for (query, result) in queries.iter().zip(&batched) {
-            let single = checker.find_test_data(&f, query);
+            let reference = reference_find(&checker, &f, query);
             assert_eq!(
-                result.outcome, single.outcome,
-                "batched and single-query outcomes diverge on {src} for {query:?}"
+                result.outcome, reference,
+                "batched and reference outcomes diverge on {src} for {query:?}"
             );
+            assert_eq!(checker.find_test_data(&f, query).outcome, reference);
         }
     }
 
@@ -1592,7 +2004,7 @@ mod tests {
         let checker = ModelChecker::new();
         let batched = checker.check_many(&f, &queries);
         for (query, result) in queries.iter().zip(&batched) {
-            assert_eq!(result.outcome, checker.find_test_data(&f, query).outcome);
+            assert_eq!(result.outcome, reference_find(&checker, &f, query));
         }
     }
 
@@ -1643,7 +2055,7 @@ mod tests {
         // ... which is exactly what the per-query searches report.
         let results = tight.check_many(&f, &queries);
         for (query, result) in queries.iter().zip(&results) {
-            assert_eq!(result.outcome, tight.find_test_data(&f, query).outcome);
+            assert_eq!(result.outcome, reference_find(&tight, &f, query));
         }
     }
 
@@ -1658,7 +2070,7 @@ mod tests {
         let checker = ModelChecker::new();
         let batched = checker.check_many(&f, &queries);
         for (query, result) in queries.iter().zip(&batched) {
-            assert_eq!(result.outcome, checker.find_test_data(&f, query).outcome);
+            assert_eq!(result.outcome, reference_find(&checker, &f, query));
         }
     }
 
@@ -1671,8 +2083,8 @@ mod tests {
             let solo = checker.check_many(&f, std::slice::from_ref(query));
             assert_eq!(
                 solo[0].outcome,
-                checker.find_test_data(&f, query).outcome,
-                "a one-query batch must cost and answer like the plain search"
+                reference_find(&checker, &f, query),
+                "a one-query batch must answer like the reference search"
             );
         }
     }
@@ -1698,16 +2110,16 @@ mod tests {
 
     /// A function wide enough to trip the shard trigger (one 0..=20000 split
     /// at the first guard read).
+    const SHARDED_SRC: &str = r#"
+        void f(int key __range(0, 20000), char mode __range(0, 3)) {
+            if (key == 1234) { h1(); }
+            if (key == 19999) { h2(); }
+            if (mode > 1) { fast(); } else { slow(); }
+        }
+    "#;
+
     fn sharded_fixture() -> (tmg_minic::Function, Vec<PathQuery>) {
-        all_queries(
-            r#"
-            void f(int key __range(0, 20000), char mode __range(0, 3)) {
-                if (key == 1234) { h1(); }
-                if (key == 19999) { h2(); }
-                if (mode > 1) { fast(); } else { slow(); }
-            }
-        "#,
-        )
+        all_queries(SHARDED_SRC)
     }
 
     #[test]
@@ -1718,11 +2130,11 @@ mod tests {
         let prepared = PreparedModel::new(&model);
         let engine = MultiQueryEngine::explore_with_threads(&checker, &prepared, &queries, 2);
         for (i, query) in queries.iter().enumerate() {
-            let single = checker.check_prepared(&prepared, query);
+            let (reference, _) = reference_check(&model, query, 50_000_000, 100_000, &[]);
             assert_eq!(
                 engine.outcome(i).expect("settled"),
-                single.outcome,
-                "sharded vs single on {:?}",
+                reference,
+                "sharded vs reference on {:?}",
                 query.decisions
             );
         }
@@ -1744,6 +2156,109 @@ mod tests {
             let outcomes: Vec<Option<CheckOutcome>> =
                 (0..queries.len()).map(|q| engine.outcome(q)).collect();
             assert_eq!(outcomes, reference, "{threads} threads diverge from 1");
+        }
+    }
+
+    /// Solo explorations of every query of `src` at each budget must match
+    /// the reference: outcomes at one and two workers, and op counts too at
+    /// one worker wherever the search settled within its budget.  Returns
+    /// the reference outcomes.
+    fn assert_solo_matches_reference(
+        src: &str,
+        budgets: &[u64],
+        pins: &[(&str, i64)],
+    ) -> Vec<CheckOutcome> {
+        let (f, queries) = all_queries(src);
+        let model = encode_function(&f, &Optimisations::all().encode_options());
+        let prepared = PreparedModel::new(&model);
+        let pins: Vec<(usize, i64)> = pins
+            .iter()
+            .map(|(name, v)| (model.vars.iter().position(|x| x.name == *name).unwrap(), *v))
+            .collect();
+        let mut outcomes = Vec::new();
+        for &budget in budgets {
+            let checker = ModelChecker::new().with_budget(budget);
+            for query in &queries {
+                let (reference, ops) = reference_check(&model, query, budget, 100_000, &pins);
+                for threads in [1, 2] {
+                    let solo = std::slice::from_ref(query);
+                    let engine =
+                        MultiQueryEngine::explore_pinned(&checker, &prepared, solo, &pins, threads);
+                    let result = engine.result(0).expect("a solo exploration settles");
+                    assert_eq!(result.outcome, reference, "budget {budget}, {query:?}");
+                    if threads == 1 && reference != CheckOutcome::Unknown {
+                        assert_eq!(result.stats.states_created, ops.states_created);
+                        assert_eq!(result.stats.transitions_fired, ops.transitions_fired);
+                    }
+                }
+                if pins.is_empty() {
+                    let single = checker.check_prepared(&prepared, query);
+                    assert_eq!(single.outcome, reference);
+                }
+                outcomes.push(reference);
+            }
+        }
+        outcomes
+    }
+
+    fn count(outcomes: &[CheckOutcome], kind: fn(&CheckOutcome) -> bool) -> usize {
+        outcomes.iter().filter(|o| kind(o)).count()
+    }
+
+    #[test]
+    fn solo_explorations_match_the_reference_op_for_op() {
+        let src = r#"
+            void f(char s __range(0, 5), char n __range(0, 3), char a __range(0, 4)) {
+                char i = 0;
+                switch (s) { case 0: a0(); break; case 3: a3(); break; default: d(); break; }
+                while (i < n) __bound(3) { i = i + 1; }
+                if (a > 2 && s == 3) { x(); } else { y(); }
+            }
+        "#;
+        let outcomes = assert_solo_matches_reference(src, &[50_000_000], &[]);
+        assert!(count(&outcomes, CheckOutcome::is_infeasible) > 0);
+        // Sharded solo searches: a 20001-value split at the first guard.
+        let outcomes = assert_solo_matches_reference(SHARDED_SRC, &[50_000_000], &[]);
+        assert!(count(&outcomes, |o| o.witness().is_some()) > 0);
+    }
+
+    #[test]
+    fn tripped_solo_budgets_report_unknown_like_the_reference() {
+        // Every budget from "trips before the first pop" to "settles
+        // everything": a solo exploration always settles, and where it
+        // trips it reports Unknown exactly where the reference does.
+        let src = r#"
+            void f(int key __range(0, 3000), char mode __range(0, 2)) {
+                if (key == 1234) { hit(); }
+                if (mode > 1) { fast(); } else { slow(); }
+            }
+        "#;
+        let budgets = [1, 2, 3, 10, 100, 2_000, 4_000, 40_000];
+        let outcomes = assert_solo_matches_reference(src, &budgets, &[]);
+        assert!(count(&outcomes, |o| *o == CheckOutcome::Unknown) > 0);
+        assert!(count(&outcomes, |o| o.witness().is_some()) > 0);
+        // Past the shard trigger, the winning completion sits in a shard.
+        let outcomes = assert_solo_matches_reference(SHARDED_SRC, &[30_000, 60_000], &[]);
+        assert!(count(&outcomes, |o| *o == CheckOutcome::Unknown) > 0);
+        assert!(count(&outcomes, |o| o.witness().is_some()) > 0);
+    }
+
+    #[test]
+    fn pinned_solo_searches_match_the_reference() {
+        let src = r#"
+            void f(char a __range(0, 6), char b __range(0, 6)) {
+                if (a > 3) { p(); } else { q(); }
+                if (b == a) { r(); }
+            }
+        "#;
+        // Pinned values hold in every witness, and a pin can make a path
+        // infeasible.
+        for pins in [&[("a", 5)][..], &[("a", 1), ("b", 1)][..], &[("b", 6)][..]] {
+            let outcomes = assert_solo_matches_reference(src, &[50_000_000, 20], pins);
+            assert!(count(&outcomes, CheckOutcome::is_infeasible) > 0);
+            for witness in outcomes.iter().filter_map(CheckOutcome::witness) {
+                assert!(pins.iter().all(|(name, v)| witness.get(name) == Some(*v)));
+            }
         }
     }
 

@@ -2,14 +2,16 @@
 //!
 //! Preparation *pre-resolves* every guard and effect expression: variable
 //! names become state-vector indices and the whole expression forest is
-//! flattened into one contiguous node pool, so the search neither hashes a
-//! string nor chases `Box` pointers.  Preparing costs a handful of `Vec`
-//! growths rather than one allocation per expression node, which is why
+//! flattened into one contiguous node pool, so the explorer
+//! ([`crate::multiquery`]) neither hashes a string nor chases `Box`
+//! pointers.  Preparing costs a handful of `Vec` growths rather than one
+//! allocation per expression node, which is why
 //! [`check_model`](crate::ModelChecker::check_model) can afford to prepare
 //! per query; callers that re-query one encoding repeatedly (ablations,
 //! sweeps) can build a [`PreparedModel`] once and go through
 //! [`check_prepared`](crate::ModelChecker::check_prepared) to skip even
-//! that.
+//! that, and the staged pipeline caches an [`OwnedPreparedModel`] per
+//! function for its batches.
 
 use crate::model::Model;
 use rustc_hash::FxHashMap;
@@ -141,7 +143,7 @@ pub(crate) struct PreparedTransition {
     /// Destination location index.
     pub(crate) to: u32,
     /// Branch decision the transition encodes, copied out of the source
-    /// transition so the search loops never chase back into the model.
+    /// transition so the search loop never chases back into the model.
     pub(crate) decision: Option<(StmtId, BranchChoice)>,
 }
 

@@ -1,15 +1,19 @@
-//! Property-based equivalence of the multi-query engine and the single-query
-//! arena search: for random mini-C functions and random decision queries,
-//! [`ModelChecker::check_many`] must return the same feasibility verdict as
-//! per-query [`ModelChecker::find_test_data`], and every witness must replay
-//! on the interpreter to the queried path.
+//! Property-based equivalence of the explorer and the naive reference search
+//! (`reference/mod.rs`): for random mini-C functions and random decision
+//! queries, batched [`ModelChecker::check_many`] and per-query
+//! [`ModelChecker::find_test_data`] (a one-query exploration) must both
+//! return the reference's verdict, witness and step count, and every
+//! witness must replay on the interpreter to the queried path.
 //!
 //! Functions are generated from integer draws only (the vendored proptest
 //! supports integer-range strategies); conditions read function parameters
 //! exclusively (plus explicitly initialised loop counters), so a witness
 //! fully determines the execution path and interpreter replay is exact.
 
+mod reference;
+
 use proptest::prelude::*;
+use reference::reference_find;
 use tmg_cfg::{build_cfg, enumerate_region_paths, PathSpec};
 use tmg_minic::ast::StmtId;
 use tmg_minic::interp::BranchChoice;
@@ -156,10 +160,15 @@ proptest! {
         let program = parse_program(&src).expect("program parses");
         let interp = Interpreter::new(&program);
         for (query, result) in queries.iter().zip(&batched) {
+            let reference = reference_find(&checker, &f, query);
+            prop_assert_eq!(
+                &result.outcome, &reference,
+                "batched vs reference verdict on {} for {:?}", src, query.decisions
+            );
             let single = checker.find_test_data(&f, query);
             prop_assert_eq!(
-                &result.outcome, &single.outcome,
-                "batched vs single verdict on {} for {:?}", src, query.decisions
+                &single.outcome, &reference,
+                "single vs reference verdict on {} for {:?}", src, query.decisions
             );
             if let CheckOutcome::Feasible { witness, .. } = &result.outcome {
                 // The witness must drive the interpreter down the queried

@@ -2,9 +2,13 @@
 //! at 1, 2 and 8 worker threads must produce bit-identical verdicts,
 //! witnesses and step counts — one thread takes the pure sequential path,
 //! so this also pins the sharded reduction against the sequential
-//! semantics.  Feasible witnesses are additionally oracle-replayed on the
-//! interpreter under monitor semantics.
+//! semantics — and the sequential results against the naive reference
+//! search (`reference/mod.rs`), query by query.  Feasible witnesses are
+//! additionally oracle-replayed on the interpreter under monitor semantics.
 
+mod reference;
+
+use reference::{reference_check, reference_find};
 use tmg_cfg::{build_cfg, enumerate_region_paths};
 use tmg_minic::ast::StmtId;
 use tmg_minic::interp::BranchChoice;
@@ -80,6 +84,11 @@ fn verdicts_witnesses_and_steps_are_identical_across_thread_counts() {
         reference.iter().all(|o| o.is_some()),
         "the heavy batch settles within budget"
     );
+    for (query, outcome) in queries.iter().zip(&reference) {
+        let (budget, depth) = (checker.max_transitions, checker.max_depth);
+        let (expected, _) = reference_check(&model, query, budget, depth, &[]);
+        assert_eq!(outcome.as_ref(), Some(&expected), "{:?}", query.decisions);
+    }
     for threads in [2, 8] {
         let outcomes = outcomes_at(&checker, &prepared, &queries, threads);
         // Bit-identical: verdicts, witness vectors and step counts.
@@ -117,6 +126,14 @@ fn budget_bound_batches_certify_identically_across_thread_counts() {
     let model = encode_function(&f, &Optimisations::all().encode_options());
     let prepared = PreparedModel::new(&model);
     let reference = outcomes_at(&tight, &prepared, &queries, 1);
+    for (query, outcome) in queries.iter().zip(&reference) {
+        let (budget, depth) = (tight.max_transitions, tight.max_depth);
+        let (expected, _) = reference_check(&model, query, budget, depth, &[]);
+        // Whatever the shared run settles is the per-query verdict.
+        if let Some(outcome) = outcome {
+            assert_eq!(outcome, &expected, "{:?}", query.decisions);
+        }
+    }
     for threads in [2, 8] {
         let outcomes = outcomes_at(&tight, &prepared, &queries, threads);
         assert_eq!(
@@ -135,15 +152,15 @@ fn budget_bound_batches_certify_identically_across_thread_counts() {
 #[test]
 fn check_many_matches_per_query_search_on_the_heavy_batch() {
     // End-to-end: the public batch entry point (slicing + sharding + witness
-    // completion) against the per-query reference engine.
+    // completion) against the per-query reference search.
     let (f, queries) = heavy_batch();
     let checker = ModelChecker::new();
     let batched = checker.check_many(&f, &queries);
     for (query, result) in queries.iter().zip(&batched) {
-        let single = checker.find_test_data(&f, query);
+        let reference = reference_find(&checker, &f, query);
         assert_eq!(
-            result.outcome, single.outcome,
-            "batched vs single on {:?}",
+            result.outcome, reference,
+            "batched vs reference on {:?}",
             query.decisions
         );
     }

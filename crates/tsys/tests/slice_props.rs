@@ -2,17 +2,21 @@
 //! mini-C functions and random *partial* query batches (the case where the
 //! slice actually removes something), batched [`ModelChecker::check_many`] —
 //! which slices, explores the sliced model and completes witnesses against
-//! the full model — must return the same verdict as the unsliced per-query
-//! [`ModelChecker::find_test_data`], every witness must replay on the
-//! interpreter under full-model monitor semantics, and slicing must be
-//! idempotent (slicing a slice changes nothing).
+//! the full model with a pinned search — must return the same verdict as the
+//! naive reference search (`reference/mod.rs`) on the unsliced per-query
+//! model, every witness must replay on the interpreter under full-model
+//! monitor semantics, and slicing must be idempotent (slicing a slice
+//! changes nothing).
 //!
 //! The generated functions deliberately contain what slicing exists to
 //! remove: branches over wide-domain parameters nobody queries, dead
 //! accumulator assignments, and saturation guards that chain those
 //! accumulators back into the cone.
 
+mod reference;
+
 use proptest::prelude::*;
+use reference::reference_find;
 use std::collections::HashSet;
 use tmg_minic::ast::{Stmt, StmtId};
 use tmg_minic::interp::BranchChoice;
@@ -175,12 +179,12 @@ proptest! {
         let interp = Interpreter::new(&program);
         for (query, result) in queries.iter().zip(&batched) {
             // Verdict bit-identity against the unsliced per-query reference.
-            let single = unsliced.find_test_data(&f, query);
+            let reference = reference_find(&unsliced, &f, query);
             prop_assert_eq!(
                 std::mem::discriminant(&result.outcome),
-                std::mem::discriminant(&single.outcome),
-                "sliced batched vs unsliced single verdict on {} for {:?}: {:?} vs {:?}",
-                src, query.decisions, result.outcome, single.outcome
+                std::mem::discriminant(&reference),
+                "sliced batched vs unsliced reference verdict on {} for {:?}: {:?} vs {:?}",
+                src, query.decisions, result.outcome, reference
             );
             // Witness completion: the slice's witness was completed against
             // the full model, so it must drive the *full* program down the
